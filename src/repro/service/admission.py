@@ -13,7 +13,10 @@ granularity:
   the ledger strictly in lease-issuance order (jobs finish out of order;
   the pump defers a recorded cost until every earlier lease is settled
   or cancelled, via :attr:`QueryBudget.next_settle_index`);
-* cancelled / failed jobs cancel their lease — nothing is charged.
+* jobs cancelled while still queued, and failed jobs, cancel their
+  lease — nothing is charged; a streaming job cancelled mid-flight
+  settles its lease with the queries it actually spent (its partial
+  report is delivered, so its spend is real).
 
 A tenant whose settled spend has reached its ceiling is refused at
 submission with :class:`AdmissionRefused` (a
@@ -141,11 +144,12 @@ class TenantBudgets:
             self._ledger(tenant).record(lease, cost)
 
     def cancel(self, tenant: str, lease: BudgetLease) -> None:
-        """Void the lease of a cancelled / failed job (no charge).
+        """Void the lease of a queued-cancelled or failed job (no charge).
 
-        A no-op for leases whose cost already settled — a job that fails
-        *after* settlement keeps its charge, and the caller's original
-        exception propagates undisturbed."""
+        A streaming job cancelled mid-flight is :meth:`settle`-d with its
+        real spend instead.  A no-op for leases whose cost already
+        settled — a job that fails *after* settlement keeps its charge,
+        and the caller's original exception propagates undisturbed."""
         with self._lock:
             self._ledger(tenant).cancel(lease)
 

@@ -10,6 +10,7 @@ entries, and never re-queries the hidden database for replayed results.
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -183,17 +184,33 @@ class TestRestartSemantics:
             service.close()
             journal.close()
 
-    def test_orphans_readmit_and_serve_from_warm_cache(self, journal_path):
+    def test_orphans_readmit_and_serve_from_warm_cache(
+        self, journal_path, monkeypatch
+    ):
         """The acceptance criterion: a replayed result costs zero new
         hidden-database queries — the warm cache answers it."""
         spec = make_spec(seed=12)
         self.run_first_life(journal_path, spec)
+        # The re-admitted orphan is a cache hit and could retire before
+        # the result op below is dispatched; hold the worker before it
+        # resolves the job's target until that op has seen the live job.
+        result_dispatched = threading.Event()
+        original_resolve = EstimationService._resolve_target
+
+        def gated_resolve(service, job):
+            result_dispatched.wait(60)
+            return original_resolve(service, job)
+
+        monkeypatch.setattr(
+            EstimationService, "_resolve_target", gated_resolve
+        )
         journal, service, protocol, stats = self.second_life(journal_path)
         try:
             assert stats["orphans_resubmitted"] == 1  # the non-streaming one
             assert stats["orphans_marked"] == 1       # the streaming one
             assert stats["cache_entries"] == 1
             res = protocol.dispatch({"op": "result", "job": ORPHAN_PLAIN}, "x")
+            result_dispatched.set()
             assert res.job is not None  # re-admitted under an alias
             res.job.wait()
             assert res.job.cached is True  # zero new queries: cache hit
@@ -203,6 +220,7 @@ class TestRestartSemantics:
             marked = protocol.dispatch({"op": "result", "job": ORPHAN_STREAM}, "y")
             assert marked.response["status"] == "orphaned"
         finally:
+            result_dispatched.set()
             service.close()
             journal.close()
 

@@ -452,7 +452,21 @@ class TestServiceHygiene:
             with pytest.raises(ValueError, match="private table copy"):
                 service.submit(spec, table=small_iid_table)
 
-    def test_cancelled_stream_settles_its_real_spend(self):
+    def test_cancelled_stream_settles_its_real_spend(self, monkeypatch):
+        # Cancellation is cooperative at a snapshot boundary, so without a
+        # gate the worker may finish all six rounds before the consumer's
+        # cancel lands.  Hold the producer just after it records the second
+        # snapshot (outside the job lock, so snapshots() still advances)
+        # until the consumer has asked to cancel.
+        cancel_sent = threading.Event()
+        original_push = Job._push_snapshot
+
+        def gated_push(job, snapshot):
+            original_push(job, snapshot)
+            if len(job.snapshot_log) == 2:
+                cancel_sent.wait(60)
+
+        monkeypatch.setattr(Job, "_push_snapshot", gated_push)
         with EstimationService(
             workers=1, tenant_budgets={"t": 10_000}
         ) as service:
@@ -461,9 +475,14 @@ class TestServiceHygiene:
             for i, _snapshot in enumerate(job.snapshots()):
                 if i == 1:
                     job.cancel()
+                    cancel_sent.set()
             job.wait(60)
             assert job.state == "cancelled"
             assert job.report is not None  # partial result delivered
+            # The cancel landed at the boundary it was requested at.
+            assert len(job.snapshot_log) == 2
+            assert job.report.stop_reason == "cancelled"
+            assert job.report.rounds == 2
             ledger = service.budgets.ledger("t")
             # The queries the stream issued are charged, not voided.
             assert ledger["spent"] == job.report.cost_units > 0

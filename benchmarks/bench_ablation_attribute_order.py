@@ -1,4 +1,4 @@
-"""Ablation (DESIGN.md / paper Section 5.1): attribute ordering.
+"""Ablation (paper Section 5.1): attribute ordering.
 
 The paper argues large-fanout attributes should sit near the tree root so
 smart backtracking probes fewer branches.  The effect concerns the *walk

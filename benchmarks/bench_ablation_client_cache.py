@@ -1,4 +1,4 @@
-"""Ablation (DESIGN.md decision 4): the client-side result cache.
+"""Ablation: the client-side result cache (``HiddenDBClient(cache=...)``).
 
 Repeated drill downs share their upper tree levels; a rational client
 caches result pages so re-asking them is free.  This benchmark quantifies

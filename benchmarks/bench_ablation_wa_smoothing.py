@@ -1,4 +1,4 @@
-"""Ablation (DESIGN.md decision 3): weight-adjustment smoothing.
+"""Ablation: weight-adjustment smoothing (``WeightStore(smoothing=...)``).
 
 The adjusted branch distribution is blended with uniform by a smoothing
 factor so that misleading pilot history cannot starve a heavy branch.

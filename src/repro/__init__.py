@@ -27,9 +27,9 @@ See :mod:`repro.datasets` for the paper's workloads, :mod:`repro.baselines`
 for the comparison estimators, :mod:`repro.analysis` for the theoretical
 results and :mod:`repro.experiments` for the figure/table harness.
 
-Architecture: selections are served by pluggable backends
-(:mod:`repro.hidden_db.backends` — ``"scan"`` row narrowing or ``"bitmap"``
-vectorised masks) and estimator rounds can be fanned out over a worker pool
+Architecture: selections are served by a backend behind the table
+(:mod:`repro.hidden_db.backends` — row narrowing with a prefix cache) and
+estimator rounds can be fanned out over a worker pool
 (:class:`repro.core.engine.ParallelSession`).  Tables are epoch-versioned
 (:meth:`HiddenTable.apply_updates` + :mod:`repro.datasets.churn`) and
 :class:`repro.core.dynamic.RSReissueEstimator` tracks aggregates of a
@@ -98,7 +98,7 @@ from repro.server import (
 )
 from repro.service import EstimationService
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "EstimationSpec",

@@ -44,15 +44,12 @@ _DEFAULT_DUB = 32
 DEFAULT_FEDERATED_POLICY = "neyman"
 
 
-def build_table(spec: EstimationSpec, table=None, apply_backend: bool = True):
+def build_table(spec: EstimationSpec, table=None):
     """The hidden table a dataset-target spec runs against.
 
     *table* injects a pre-built :class:`~repro.hidden_db.table.HiddenTable`
     (mandatory for ``dataset.name == "custom"``, optional otherwise — an
-    injected table overrides the generated one).  *apply_backend* re-serves
-    the table through the spec's backend; the tracking path leaves that to
-    :func:`repro.core.dynamic.track` so its construction order matches the
-    legacy call exactly.
+    injected table overrides the generated one).
     """
     dataset = spec.target.dataset
     if dataset is None:
@@ -64,8 +61,6 @@ def build_table(spec: EstimationSpec, table=None, apply_backend: bool = True):
                 "Estimation(spec, table=...)"
             )
         table = DATASET_MAKERS[dataset.name](m=dataset.m, seed=dataset.seed)
-    if apply_backend:
-        table = table.with_backend(spec.target.backend)
     return table
 
 
@@ -81,10 +76,6 @@ def build_estimator(spec: EstimationSpec, table):
             if method.weight_adjustment is not None
             else True
         ),
-        batch_probes=(
-            method.batch_probes if method.batch_probes is not None else True
-        ),
-        cohort=method.cohort if method.cohort is not None else True,
         condition=aggregate.condition,
         seed=spec.regime.seed,
     )
@@ -130,7 +121,6 @@ def build_federation(spec: EstimationSpec, federation=None):
         base_m=fed.base_m,
         k=spec.target.k,
         overlap=fed.overlap,
-        backend=spec.target.backend,
         seed=fed.seed,
     )
 
@@ -186,12 +176,11 @@ def tracker_kwargs(spec: EstimationSpec) -> Tuple[dict, dict]:
         churn_seed=churn.seed,
         workers=regime.workers,
         executor=regime.executor,
-        backend=target.backend,
     )
     # The walk knobs default to track()'s plain single-drill-down walk;
     # forward them only when the spec sets them, so a knob-less spec
     # stays byte-identical to a legacy track() call.
-    for knob in ("r", "dub", "weight_adjustment", "batch_probes", "cohort"):
+    for knob in ("r", "dub", "weight_adjustment"):
         value = getattr(method, knob)
         if value is not None:
             build_kwargs[knob] = value

@@ -227,7 +227,7 @@ class Estimation:
         if mode == "tracking":
             from repro.core.dynamic import track
 
-            table = build_table(self.spec, self._table, apply_backend=False)
+            table = build_table(self.spec, self._table)
             loop_kwargs, build_kwargs = tracker_kwargs(self.spec)
             result = track(table, **loop_kwargs, **build_kwargs)
             self.table = table
@@ -302,9 +302,7 @@ class Estimation:
             return float(target.true_total_size())
         table = self.table
         if table is None:
-            table = build_table(
-                self.spec, self._table, apply_backend=self.mode != "tracking"
-            )
+            table = build_table(self.spec, self._table)
             self.table = table
         from repro.core.dynamic import _ground_truth
         from repro.core.estimators import resolve_condition
@@ -472,7 +470,7 @@ class Estimation:
         from repro.core.dynamic import TrackResult, _ground_truth, build_tracker
 
         spec = self.spec
-        table = build_table(spec, self._table, apply_backend=False)
+        table = build_table(spec, self._table)
         loop_kwargs, build_kwargs = tracker_kwargs(spec)
         estimator, churn_gen, table = build_tracker(table, **build_kwargs)
         self.table = table

@@ -131,15 +131,14 @@ class ChurnSpec:
 class TargetSpec:
     """What the estimation runs against.
 
-    Exactly one of *dataset* / *federation* must be given.  *k* and
-    *backend* describe the simulated form (per-source for federations);
-    *churn* makes a dataset target dynamic (tracking mode).
+    Exactly one of *dataset* / *federation* must be given.  *k* is the
+    simulated form's page size (per-source for federations); *churn*
+    makes a dataset target dynamic (tracking mode).
     """
 
     dataset: Optional[DatasetSpec] = None
     federation: Optional[FederationSpec] = None
     k: int = 100
-    backend: str = "scan"
     churn: Optional[ChurnSpec] = None
 
     def __post_init__(self) -> None:
@@ -148,13 +147,6 @@ class TargetSpec:
             "a target needs exactly one of dataset / federation",
         )
         _require(self.k >= 1, f"k must be >= 1, got {self.k}")
-        from repro.hidden_db.backends import available_backends
-
-        _require(
-            self.backend in available_backends(),
-            f"unknown backend {self.backend!r}; expected one of "
-            f"{sorted(available_backends())}",
-        )
         _require(
             self.churn is None or self.dataset is not None,
             "churn tracking applies to dataset targets only (give each "
@@ -259,16 +251,7 @@ class MethodSpec:
     static and budgeted runs; the plain single-drill-down walk for
     tracking, matching :func:`repro.core.dynamic.track`).  Federated
     specs refuse them — each :class:`FederatedSource` carries its own.
-    *batch_probes* toggles the walker's vectorised sibling-probe batching
-    (``None`` = on); charges, cache state and estimates are identical
-    either way, so it is a wall-clock knob like ``regime.executor``.
-    *cohort* toggles level-synchronous cohort execution — each worker
-    steps its whole batch of rounds in lockstep and answers the probes of
-    one wave through the backend's bulk path (``None`` = on); like
-    *batch_probes* it changes wall-clock only, never charges or
-    estimates.
-    *policy*
-    names the tracking policy (``reissue`` / ``restart``) or the
+    *policy* names the tracking policy (``reissue`` / ``restart``) or the
     federated allocation policy (``uniform`` / ``cost_weighted`` /
     ``neyman``); the remaining knobs are mode-specific.
     """
@@ -276,8 +259,6 @@ class MethodSpec:
     r: Optional[int] = None
     dub: Optional[int] = None
     weight_adjustment: Optional[bool] = None
-    batch_probes: Optional[bool] = None
-    cohort: Optional[bool] = None
     policy: Optional[str] = None
     pilot_rounds: Optional[int] = None
     reissue_per_epoch: Optional[int] = None
@@ -361,10 +342,8 @@ class EstimationSpec:
             _require(
                 method.r is None
                 and method.dub is None
-                and method.weight_adjustment is None
-                and method.batch_probes is None
-                and method.cohort is None,
-                "r/dub/weight_adjustment/batch_probes/cohort are per-source "
+                and method.weight_adjustment is None,
+                "r/dub/weight_adjustment are per-source "
                 "properties of a federation (each FederatedSource carries "
                 "its own); they cannot be set on a federated spec",
             )

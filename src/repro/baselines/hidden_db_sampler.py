@@ -59,12 +59,6 @@ class HiddenDBSampler:
         Drill order; decreasing fanout by default.
     max_restarts:
         Safety valve for one :meth:`sample` call.
-    batch_probes:
-        Submit each walk's path queries through
-        :meth:`HiddenDBClient.query_many` (one bulk backend
-        classification, charges replayed exactly) instead of one
-        :meth:`~HiddenDBClient.query` per level.  A wall-clock knob:
-        samples, costs and counters are bit-identical either way.
     """
 
     def __init__(
@@ -74,7 +68,6 @@ class HiddenDBSampler:
         attribute_order: Optional[Sequence[int]] = None,
         seed: RandomSource = None,
         max_restarts: int = 100_000,
-        batch_probes: bool = True,
     ) -> None:
         self.client = client
         self.rng = spawn_rng(seed)
@@ -86,7 +79,6 @@ class HiddenDBSampler:
         self.fixed_scale = scale
         self._adaptive_scale: Optional[float] = None
         self.max_restarts = max_restarts
-        self.batch_probes = bool(batch_probes)
         self.walks = 0
         self.restarts = 0
         self.rejections = 0
@@ -122,17 +114,9 @@ class HiddenDBSampler:
             query = query.extended(attr, int(self.rng.integers(fanout)))
             path.append(query)
             fanouts.append(fanout)
-        if self.batch_probes:
-            results = self.client.query_many(
-                path, count_only=False, until=lambda r: not r.overflow
-            )
-        else:
-            results = []
-            for q in path:
-                result = self.client.query(q)
-                results.append(result)
-                if not result.overflow:
-                    break
+        results = self.client.query_many(
+            path, count_only=False, until=lambda r: not r.overflow
+        )
         inverse_probability = 1.0
         for depth, result in enumerate(results, start=1):
             inverse_probability *= fanouts[depth - 1]

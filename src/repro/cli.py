@@ -60,7 +60,6 @@ from repro.api import (
 from repro.experiments.config import SCALES, default_scale_name
 from repro.experiments.figures import FIGURE_RUNNERS
 from repro.federation.policies import available_policies
-from repro.hidden_db.backends import available_backends
 
 __all__ = ["main", "build_parser"]
 
@@ -109,9 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--r", type=int, default=4)
     est.add_argument("--dub", type=int, default=32)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--backend", choices=sorted(available_backends()),
-                     default="scan",
-                     help="selection backend serving the simulated form")
     est.add_argument("--workers", type=int, default=1,
                      help="fan rounds out over N workers (ParallelSession; "
                           "results are worker-count independent)")
@@ -120,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker pool kind at workers > 1 (process = "
                           "shared-memory subprocesses; results are "
                           "executor-independent)")
-    est.add_argument("--no-cohort", action="store_true",
-                     help="disable level-synchronous cohort execution and "
-                          "run each round's walk to completion serially "
-                          "(wall-clock knob; results are bit-identical)")
     est.add_argument("--json", action="store_true",
                      help="emit the full AggregateReport as JSON")
 
@@ -152,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     fed.add_argument("--overlap", type=float, default=0.0,
                      help="fraction of each source cross-listed from a "
                           "shared universe")
-    fed.add_argument("--backend", choices=sorted(available_backends()),
-                     default="scan")
     fed.add_argument("--workers", type=int, default=1,
                      help="per-source round fan-out (output is worker-count "
                           "independent)")
@@ -192,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     trk.add_argument("--seed", type=int, default=0)
     trk.add_argument("--churn-seed", type=int, default=0,
                      help="separate seed pinning the database evolution")
-    trk.add_argument("--backend", choices=sorted(available_backends()),
-                     default="scan")
     trk.add_argument("--workers", type=int, default=1,
                      help="per-epoch round fan-out (output is worker-count "
                           "independent)")
@@ -201,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="thread",
                      help="worker pool kind (results are executor-"
                           "independent)")
-    trk.add_argument("--no-cohort", action="store_true",
-                     help="disable level-synchronous cohort execution "
-                          "(wall-clock knob; results are bit-identical)")
     trk.add_argument("--json", action="store_true", help="emit JSON")
 
     serve = sub.add_parser(
@@ -294,7 +279,6 @@ def _estimate_spec(args) -> EstimationSpec:
         target=TargetSpec(
             dataset=DatasetSpec(name=args.dataset, m=args.m, seed=args.seed),
             k=args.k,
-            backend=args.backend,
         ),
         regime=RegimeSpec(
             rounds=args.rounds,
@@ -304,12 +288,7 @@ def _estimate_spec(args) -> EstimationSpec:
             workers=args.workers,
             executor=args.executor,
         ),
-        method=MethodSpec(
-            r=args.r,
-            dub=args.dub,
-            # None keeps the spec knob-less (library default: cohort on).
-            cohort=False if args.no_cohort else None,
-        ),
+        method=MethodSpec(r=args.r, dub=args.dub),
     )
 
 
@@ -323,7 +302,6 @@ def _federate_spec(args) -> EstimationSpec:
                 seed=args.seed,
             ),
             k=args.k,
-            backend=args.backend,
         ),
         regime=RegimeSpec(
             query_budget=args.budget,
@@ -340,7 +318,6 @@ def _track_spec(args) -> EstimationSpec:
         target=TargetSpec(
             dataset=DatasetSpec(name=args.dataset, m=args.m, seed=args.seed),
             k=args.k,
-            backend=args.backend,
             churn=ChurnSpec(
                 epochs=args.epochs, rate=args.churn, seed=args.churn_seed
             ),
@@ -355,8 +332,6 @@ def _track_spec(args) -> EstimationSpec:
             policy=args.policy,
             reissue_per_epoch=args.reissue,  # None = library default
             epoch_query_budget=args.epoch_budget,
-            # None keeps the spec knob-less (library default: cohort on).
-            cohort=False if args.no_cohort else None,
         ),
     )
 
@@ -395,7 +370,7 @@ def _cmd_estimate(args) -> int:
         return 0
     table = estimation.table
     print(f"dataset={args.dataset} m={table.num_tuples} k={args.k} "
-          f"backend={table.backend_name} workers={args.workers}")
+          f"workers={args.workers}")
     print(f"estimate={report.estimate:,.1f}  ci95=({report.ci95[0]:,.1f}, "
           f"{report.ci95[1]:,.1f})  queries={report.total_queries}  "
           f"rounds={report.rounds}  stop={report.stop_reason}")
@@ -467,7 +442,7 @@ def _cmd_track(args) -> int:
         print(json.dumps(legacy_track_payload(report)))
         return 0
     print(f"dataset={args.dataset} m0={args.m} k={args.k} churn={args.churn} "
-          f"policy={args.policy} backend={args.backend} workers={args.workers}")
+          f"policy={args.policy} workers={args.workers}")
     for e in report.per_epoch:
         if e["truth"]:
             rel = f"{100 * abs(e['estimate'] - e['truth']) / abs(e['truth']):5.1f}%"

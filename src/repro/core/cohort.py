@@ -30,7 +30,8 @@ between rounds, not *compute*: a result page is a pure function of
 ``(query, table version)``, so a memoised page is indistinguishable from
 a recomputed one.  (Result pages are lazy; materialisation binds the
 designated interface's table — the same table every cohort round
-shares.)  Cohort mode is therefore bit-identical to the per-round path.
+shares.)  A cohort is therefore bit-identical to running each round's
+estimator by itself, one :meth:`run_once` after another.
 
 The only divergence from the serial schedule is *when* backend compute
 happens: ``query_many`` classifies a window's whole remaining suffix at
@@ -348,9 +349,9 @@ def _replay_window(
 def run_cohort(factory, seeds: Sequence[int]) -> List[Tuple]:
     """Run one wave of rounds as a cohort; ``(estimate, report)`` per seed.
 
-    The engine's cohort counterpart of ``_run_round_batch``: module-level
-    (and therefore picklable) so process pools can ship one cohort per
-    worker slice.  Seed order is preserved — merging stays round-ordered.
+    The engine's unit of work: module-level (and therefore picklable) so
+    process pools can ship one cohort per worker slice in a single task.
+    Seed order is preserved — merging stays round-ordered.
     """
     estimators = [factory(seed) for seed in seeds]
     outcomes = CohortWalker(estimators).run()

@@ -8,7 +8,7 @@ top-valid nodes contribute ``mass/p`` directly; walks that end on
 overflows) recurse into the next segment.
 
 Unbiasedness note (this is where we depart from a literal reading of the
-paper's Eq. 9, see DESIGN.md §4.2): each walk that ends on a bottom
+paper's Eq. 9 in Section 4.2): each walk that ends on a bottom
 overflow node ``b`` contributes ``S(b)/p_w(b)`` where ``p_w`` is *that
 walk's* reaching probability and ``S(b)`` the recursive estimate — i.e. the
 recursive estimate is weighted by the **actual** number of hits, not the

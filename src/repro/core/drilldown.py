@@ -197,7 +197,6 @@ class Walker:
         client: HiddenDBClient,
         weights,
         rng: np.random.Generator,
-        batch_probes: bool = True,
     ) -> None:
         self.client = client
         self.weights = weights
@@ -209,7 +208,6 @@ class Walker:
         self._pick_weights = getattr(
             weights, "branch_pick_weights", weights.branch_distribution
         )
-        self.batch_probes = bool(batch_probes)
         self.walks_performed = 0
         #: Optional ``(parent key, attr, value) -> query`` table, installed
         #: by a cohort so walks share child-query construction.  Queries are
@@ -288,137 +286,63 @@ class Walker:
         """Pick, smart-backtrack and price one level below *node*.
 
         *node* is known to overflow, so at least one branch is non-empty.
+        The right walk and the left walk each probe their first branch
+        singly and, only when that branch underflows, batch the rest of
+        the circle as one :class:`ProbeWindow` whose ``until`` predicate
+        reproduces the walk's early exit.  The consumed probes — and
+        therefore every charge and cache entry — are exactly those a
+        probe-at-a-time walk issues, in the same order; the backend just
+        classifies each window in one vectorised pass.  At fanout 2 the
+        rest of the circle is the sibling alone, which the two Boolean
+        shortcuts below settle without a window.
         """
         fanout = self.schema[attr].domain_size
         # A plain list for small fanouts under a WeightStore, a numpy array
         # otherwise — every use below (scalar indexing, iteration) treats
         # the two identically.
         dist = self._pick_weights(node.key, attr, fanout)
-        if self.batch_probes:
-            # Inverse-CDF sampling: the exact arithmetic Generator.choice
-            # performs for a weighted scalar draw (same cdf, same single
-            # uniform, same searchsorted side), so the picked branch and
-            # the RNG stream advance bit-identically — without choice()'s
-            # validation and shuffle machinery.
-            if fanout <= 32:
-                # Scalar mirror of the cdf arithmetic: cumsum is sequential
-                # by definition, each cdf entry is the same division, and
-                # searchsorted(u, side="right") is the first index whose
-                # normalised prefix exceeds u — same bits, no arrays.
-                u = self.rng.random()
-                values = dist if type(dist) is list else dist.tolist()
-                total = 0.0
-                for v in values:
-                    total += v
-                prefix = 0.0
-                start = fanout - 1
-                for i, v in enumerate(values):
-                    prefix += v
-                    if prefix / total > u:
-                        start = i
-                        break
-            else:
-                cdf = dist.cumsum()
-                cdf /= cdf[-1]
-                start = int(cdf.searchsorted(self.rng.random(), side="right"))
-            if fanout > 2:
-                return (
-                    yield from self._choose_branch_batched_plan(
-                        node, attr, fanout, dist, start
-                    )
-                )
-        else:
-            start = int(self.rng.choice(fanout, p=dist))
+        # Inverse-CDF sampling: the exact arithmetic Generator.choice
+        # performs for a weighted scalar draw, so the picked branch and the
+        # RNG stream advance bit-identically without choice()'s validation
+        # and shuffle machinery.  cumsum is sequential by definition, each
+        # cdf entry is the same division, and searchsorted(u, side="right")
+        # is the first index whose normalised prefix exceeds u.
+        u = self.rng.random()
+        values = dist if type(dist) is list else dist.tolist()
+        total = 0.0
+        for v in values:
+            total += v
+        prefix = 0.0
+        start = fanout - 1
+        for i, v in enumerate(values):
+            prefix += v
+            if prefix / total > u:
+                start = i
+                break
 
-        # Smart backtracking: walk right (circularly) from the initial pick
-        # until a non-underflowing branch is found.
+        weights = self.weights
+        child = self._child
+        # Right walk: probe the initial pick; on underflow, walk right
+        # (circularly) to the first non-underflowing sibling.
         value = start
-        result: Optional[QueryResult] = None
-        backtracked = False
-        for _ in range(fanout):
-            query = self._child(node, attr, value)
-            if fanout == 2 and backtracked:
+        query = child(node, attr, value)
+        result = yield Probe(query)
+        if result.underflow:
+            weights.mark_empty(node.key, attr, fanout, start)
+            if fanout == 2:
                 # Boolean shortcut: the sibling of an underflowing child of
                 # an overflowing parent must overflow — follow it unissued.
+                value = 1 - start
                 return _Landing(
                     value=value,
-                    query=query,
+                    query=child(node, attr, value),
                     result=None,
                     probability=1.0,  # both branches lead here
                     valid=False,
                 )
-            # count_only: probes only classify the page; a landed page's
-            # tuples stay lazy and materialise if a mass function reads them.
-            result = yield Probe(query)
-            if not result.underflow:
-                break
-            self.weights.mark_empty(node.key, attr, fanout, value)
-            backtracked = True
-            value = (value + 1) % fanout
-        else:
-            raise RuntimeError(
-                f"all {fanout} branches of {node!r} on attribute {attr} "
-                "underflow although the node overflows - inconsistent table"
-            )
-
-        landed_query = query  # the loop built it for the landed value already
-        valid = result.valid
-
-        # Landing probability = pick probability of the landed branch plus
-        # that of its maximal run of consecutive underflowing predecessors.
-        if fanout == 2 and valid and not backtracked:
-            # Final-level Boolean shortcut: the sibling cannot be empty
-            # (parent has > k tuples, this branch holds <= k), so the
-            # window is just the landed branch - no probe needed.
-            return _Landing(value, landed_query, result, float(dist[value]), valid)
-
-        probability = float(dist[value])
-        pred = (value - 1) % fanout
-        while pred != value:
-            pred_result = yield Probe(self._child(node, attr, pred))
-            if not pred_result.underflow:
-                break
-            self.weights.mark_empty(node.key, attr, fanout, pred)
-            probability += float(dist[pred])
-            pred = (pred - 1) % fanout
-        else:
-            # Full circle: every other branch underflows; landing here was
-            # certain.
-            probability = 1.0
-        return _Landing(value, landed_query, result, probability, valid)
-
-    def _choose_branch_batched_plan(
-        self,
-        node: ConjunctiveQuery,
-        attr: int,
-        fanout: int,
-        dist,  # list (small fanouts) or ndarray — scalar reads only
-        start: int,
-    ) -> Generator:
-        """The fanout>2 level with sibling probes issued as batches.
-
-        Equivalent to the scalar path probe for probe: the right-walk and
-        the left-walk each become one :class:`ProbeWindow` request whose
-        ``until`` predicate reproduces the walk's early exit, so the
-        consumed probes — and therefore every charge and cache entry — are
-        exactly those the sequential walk would have issued, in the same
-        order.  The backend, however, classifies each window in one
-        vectorised pass instead of one narrowing per probe.
-        """
-        weights = self.weights
-        # Right walk: probe the initial pick; on underflow, batch the rest
-        # of the circular window until the first non-underflowing sibling.
-        value = start
-        query = self._child(node, attr, value)
-        result = yield Probe(query)
-        backtracked = False
-        if result.underflow:
-            backtracked = True
             window = [(start + i) % fanout for i in range(1, fanout)]
-            child = self._child
             siblings = [child(node, attr, v) for v in window]
             batch = yield ProbeWindow(siblings, until=_landed_somewhere)
-            weights.mark_empty(node.key, attr, fanout, start)
             for v, sibling_result in zip(window, batch):
                 if sibling_result.underflow:
                     weights.mark_empty(node.key, attr, fanout, v)
@@ -433,19 +357,27 @@ class Walker:
             query = siblings[landed]
         valid = result.valid
 
-        # Left walk: the landed branch's run of consecutive underflowing
-        # predecessors.  The first predecessor is probed singly — in the
+        # Landing probability = pick probability of the landed branch plus
+        # that of its maximal run of consecutive underflowing predecessors.
+        if fanout == 2 and valid:
+            # Final-level Boolean shortcut: the sibling cannot be empty
+            # (parent has > k tuples, this branch holds <= k), so the
+            # window is just the landed branch - no probe needed.
+            return _Landing(value, query, result, float(dist[value]), valid)
+        # Left walk.  The first predecessor is probed singly — in the
         # common case it does not underflow and the walk ends after one
         # probe, costing no batch machinery; only when a run actually
         # starts is the rest of the circle batched.
         probability = float(dist[value])
         first = (value - 1) % fanout
-        pred_result = yield Probe(self._child(node, attr, first))
+        pred_result = yield Probe(child(node, attr, first))
         if pred_result.underflow:
             weights.mark_empty(node.key, attr, fanout, first)
+            if fanout == 2:
+                # Full circle: the sibling is empty; landing here was certain.
+                return _Landing(value, query, result, 1.0, valid)
             probability += float(dist[first])
             rest = [(value - 2 - i) % fanout for i in range(fanout - 2)]
-            child = self._child
             candidates = [child(node, attr, p) for p in rest]
             batch = yield ProbeWindow(candidates, until=_landed_somewhere)
             for p, rest_result in zip(rest, batch):

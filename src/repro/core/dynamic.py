@@ -151,8 +151,6 @@ class _EpochEstimatorBase:
         r: int = 1,
         dub: Optional[int] = None,
         weight_adjustment: bool = False,
-        batch_probes: bool = True,
-        cohort: bool = True,
         seed: RandomSource = None,
         workers: int = 1,
         executor: str = "thread",
@@ -177,14 +175,12 @@ class _EpochEstimatorBase:
         if aggregate == "count":
             self._template = HDUnbiasedSize(
                 client, r=r, dub=dub, weight_adjustment=weight_adjustment,
-                batch_probes=batch_probes, cohort=cohort,
                 condition=condition, seed=0,
             )
         else:
             self._template = HDUnbiasedAgg(
                 client, aggregate="sum", measure=measure,
                 r=r, dub=dub, weight_adjustment=weight_adjustment,
-                batch_probes=batch_probes, cohort=cohort,
                 condition=condition, seed=0,
             )
         self.history: List[EpochEstimate] = []
@@ -200,7 +196,6 @@ class _EpochEstimatorBase:
                 factory=_RoundFactory(self._template),
                 workers=self.workers,
                 executor=self.executor,
-                cohort=self._template.cohort,
             )
             self._engine_session = session
         return session
@@ -413,7 +408,6 @@ def build_tracker(
     epoch_query_budget: Optional[int] = None,
     seed: RandomSource = None,
     churn_seed: RandomSource = 0,
-    backend: Optional[str] = None,
     **estimator_kwargs,
 ):
     """Wire up one tracking session: ``(estimator, churn_gen, table)``.
@@ -421,8 +415,8 @@ def build_tracker(
     This is :func:`track`'s construction phase, exposed so callers that
     drive epochs themselves (the streaming front door in
     :mod:`repro.api`) build the exact same stack ``track`` runs.  The
-    returned *table* is the one the estimator reads (re-served through
-    *backend* when given) and the one *churn_gen* mutates.
+    returned *table* is the one the estimator reads and the one
+    *churn_gen* mutates.
     """
     from repro.datasets.churn import ChurnGenerator
     from repro.hidden_db.interface import TopKInterface
@@ -435,8 +429,6 @@ def build_tracker(
             "reissue policy; the restart baseline always pays its full "
             "per-epoch round count"
         )
-    if backend is not None:
-        table = table.with_backend(backend)
     if isinstance(churn, ChurnGenerator):
         churn_gen = churn
     else:
@@ -479,7 +471,6 @@ def track(
     churn_seed: RandomSource = 0,
     workers: int = 1,
     executor: str = "thread",
-    backend: Optional[str] = None,
     record_truth: bool = True,
     **estimator_kwargs,
 ) -> TrackResult:
@@ -511,7 +502,6 @@ def track(
         epoch_query_budget=epoch_query_budget,
         seed=seed,
         churn_seed=churn_seed,
-        backend=backend,
         aggregate=aggregate,
         measure=measure,
         condition=condition,

@@ -66,33 +66,6 @@ __all__ = ["ParallelSession", "merge_rounds"]
 EstimatorFactory = Callable[[int], "object"]
 
 
-def _run_round(factory: EstimatorFactory, seed: int):
-    """Worker body: one estimator, one round, one cache report.
-
-    Module-level so process pools can pickle it (the factory itself must
-    then be picklable too — e.g. a ``functools.partial`` over module-level
-    functions; thread pools accept any callable).
-    """
-    estimator = factory(seed)
-    round_estimate = estimator.run_once()
-    client = getattr(estimator, "client", None)
-    stats = client.report() if hasattr(client, "report") else {}
-    return round_estimate, stats
-
-
-def _run_round_batch(factory: EstimatorFactory, seeds: List[int]):
-    """Process-pool task body: a contiguous run of rounds in one message.
-
-    Submitting rounds one by one to a process pool pays the factory
-    pickle, the task dispatch and the result pipe once *per round*; the
-    engine instead ships each worker its whole slice of the wave in a
-    single task.  Seed order inside the slice is preserved, and each seed
-    still gets the standard one-fresh-estimator-per-round treatment, so
-    the outcome list is exactly what per-seed submission would produce.
-    """
-    return [_run_round(factory, seed) for seed in seeds]
-
-
 def merge_rounds(
     per_round: List["object"],
     statistic: Callable[[np.ndarray], float],
@@ -144,8 +117,9 @@ class ParallelSession:
     factory:
         ``seed -> estimator``; must build a *fresh* estimator with its own
         client/counter each call (rounds never share mutable state).  The
-        estimator only needs ``run_once()`` and ``_statistic`` /
-        ``_dims`` — i.e. any member of the HD-UNBIASED family.
+        estimator needs ``client``, ``run_once_plan()`` / ``run_once()``
+        (see :mod:`repro.core.cohort`) and ``_statistic`` — i.e. any
+        member of the HD-UNBIASED family.
     workers:
         Pool size.  ``workers=1`` still goes through the engine (same
         per-round isolation), which is what the bit-identity guarantee is
@@ -174,12 +148,6 @@ class ParallelSession:
     seed: RandomSource = None
     executor: str = "thread"
     statistic: Optional[Callable[[np.ndarray], float]] = None
-    #: Run each worker's slice of a wave as one level-synchronous cohort
-    #: (:mod:`repro.core.cohort`): probes are fused across the slice's
-    #: rounds and identical probes are computed once, while every round's
-    #: charges/cache/RNG stay exactly those of the per-round path — the
-    #: merged result is bit-identical either way, only faster.
-    cohort: bool = True
     #: Component-wise sum of every round-client's ``report()`` (merged
     #: query-cost and cache accounting across workers).
     client_stats: Dict[str, float] = field(default_factory=dict)
@@ -270,12 +238,12 @@ class ParallelSession:
         if not seeds:
             return []
         # Each worker's contiguous slice runs as one level-synchronous
-        # cohort (probes fused across its rounds) or, with the knob off,
-        # as the literal per-round loop; both preserve seed order.
-        batch = run_cohort if self.cohort else _run_round_batch
+        # cohort (probes fused across its rounds), in seed order.  The
+        # module-level name is looked up per call so a wrapped
+        # ``run_cohort`` (e.g. a tracer) sees every slice.
         outcomes: List[Optional[Tuple]] = [None] * len(seeds)
         if self.workers == 1:
-            outcomes = batch(self.factory, seeds)
+            outcomes = run_cohort(self.factory, seeds)
         else:
             if self.executor == "process":
                 # Shared-memory transport: export the table columns once (a
@@ -287,7 +255,7 @@ class ParallelSession:
                     prepare()
             pool = self._get_pool()
             futures = {
-                pool.submit(batch, self.factory, chunk): start
+                pool.submit(run_cohort, self.factory, chunk): start
                 for start, chunk in _contiguous_chunks(seeds, self.workers)
             }
             for future, start in futures.items():

@@ -195,8 +195,6 @@ class _DrillDownEstimator:
         attribute_order: Optional[Sequence[int]] = None,
         seed: RandomSource = None,
         smoothing: float = 0.25,
-        batch_probes: bool = True,
-        cohort: bool = True,
     ) -> None:
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
@@ -204,8 +202,6 @@ class _DrillDownEstimator:
         self.r = int(r)
         self.dub = dub
         self.weight_adjustment = bool(weight_adjustment)
-        self.batch_probes = bool(batch_probes)
-        self.cohort = bool(cohort)
         self.condition = resolve_condition(client.schema, condition)
         self.root = self.condition if self.condition is not None else ConjunctiveQuery()
         order = free_attribute_order(client.schema, self.condition, attribute_order)
@@ -218,7 +214,7 @@ class _DrillDownEstimator:
         self.segments = segment_attributes(order, client.schema, dub)
         self.rng = spawn_rng(seed)
         weights = WeightStore(smoothing=smoothing) if weight_adjustment else UniformWeights()
-        self.walker = Walker(client, weights, self.rng, batch_probes=self.batch_probes)
+        self.walker = Walker(client, weights, self.rng)
         # Recorded so parallel sessions can rebuild sibling estimators.
         self._session_config = dict(
             r=self.r,
@@ -227,8 +223,6 @@ class _DrillDownEstimator:
             condition=self.condition,
             attribute_order=tuple(self.attribute_order),
             smoothing=smoothing,
-            batch_probes=self.batch_probes,
-            cohort=self.cohort,
         )
 
     # -- to be provided by subclasses ------------------------------------
@@ -328,7 +322,6 @@ class _DrillDownEstimator:
             seed=seed,
             executor=executor,
             statistic=self._statistic,
-            cohort=self.cohort,
         )
 
     # -- running ----------------------------------------------------------
@@ -597,8 +590,6 @@ class BoolUnbiasedSize(HDUnbiasedSize):
         condition: ConditionLike = None,
         attribute_order: Optional[Sequence[int]] = None,
         seed: RandomSource = None,
-        batch_probes: bool = True,
-        cohort: bool = True,
     ) -> None:
         super().__init__(
             client,
@@ -608,8 +599,6 @@ class BoolUnbiasedSize(HDUnbiasedSize):
             condition=condition,
             attribute_order=attribute_order,
             seed=seed,
-            batch_probes=batch_probes,
-            cohort=cohort,
         )
 
     def _spawn(self, client: HiddenDBClient, seed: RandomSource) -> "BoolUnbiasedSize":
@@ -618,8 +607,6 @@ class BoolUnbiasedSize(HDUnbiasedSize):
             condition=self.condition,
             attribute_order=self._session_config["attribute_order"],
             seed=seed,
-            batch_probes=self.batch_probes,
-            cohort=self.cohort,
         )
 
 

@@ -89,7 +89,6 @@ def federated_sources(
     costs_per_query: Optional[Sequence[float]] = None,
     overlap: float = 0.0,
     churn_rates: Optional[Sequence[float]] = None,
-    backend: str = "scan",
     seed: RandomSource = None,
     name: str = "federation",
 ) -> FederatedTarget:
@@ -116,8 +115,6 @@ def federated_sources(
         churning sources carry a seeded
         :class:`~repro.datasets.churn.ChurnGenerator` stepped by
         :meth:`FederatedTarget.advance_epoch`.
-    backend:
-        Selection backend every source is served through.
     seed:
         Drives every table, overlap draw and churn stream.
     """
@@ -164,7 +161,6 @@ def federated_sources(
             table = _overlapping_table(
                 m, probs, shared_rows, overlap, table_seed
             )
-        table = table.with_backend(backend)
         churn = None
         if churn_rate:
             churn = ChurnGenerator(
@@ -236,7 +232,6 @@ def heterogeneous_federation(
     n_attrs: int = 14,
     k: int = 50,
     overlap: float = 0.0,
-    backend: str = "scan",
     seed: RandomSource = None,
 ) -> FederatedTarget:
     """The standard benchmark fixture: one big skewed source, smaller tame ones.
@@ -263,7 +258,6 @@ def heterogeneous_federation(
         ks=ks,
         skews=skews,
         overlap=overlap,
-        backend=backend,
         seed=seed,
         name=f"heterogeneous_{num_sources}x",
     )

@@ -24,7 +24,8 @@ properties match what the paper's experiments exercise —
   (|Dom| = 2^32 x 16 x 16 x 12 x 8 x 6 x 5 vs m ~ 1.9e5);
 * no duplicate tuples on the searchable attributes.
 
-The substitution is recorded in DESIGN.md.
+The paper's real crawl is not available, so this generator stands in for
+it; the properties above are the ones its experiments depend on.
 """
 
 from __future__ import annotations

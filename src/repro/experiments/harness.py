@@ -270,17 +270,12 @@ def hd_size_factory(
     weight_adjustment: bool = True,
     condition=None,
     attribute_order=None,
-    backend: Optional[str] = None,
 ) -> TrajectoryFactory:
     """Sessions of :class:`HDUnbiasedSize` (or its ablations) on *table*.
 
     Every session gets a fresh interface/client (no cross-session cache
-    leakage) and runs rounds until *budget* queries.  *backend* optionally
-    re-serves the table through a different selection backend (e.g.
-    ``"bitmap"``) — estimator output is backend-independent.
+    leakage) and runs rounds until *budget* queries.
     """
-    if backend is not None:
-        table = table.with_backend(backend)
 
     def factory(seed: int) -> StreamingMeanSeries:
         client = HiddenDBClient(TopKInterface(table, k))
@@ -308,11 +303,8 @@ def agg_factory(
     dub: Optional[int] = 32,
     weight_adjustment: bool = True,
     condition=None,
-    backend: Optional[str] = None,
 ) -> TrajectoryFactory:
     """Sessions of :class:`HDUnbiasedAgg` on *table*."""
-    if backend is not None:
-        table = table.with_backend(backend)
 
     def factory(seed: int) -> StreamingMeanSeries:
         client = HiddenDBClient(TopKInterface(table, k))

@@ -199,7 +199,6 @@ class _FederatedEstimatorBase:
             seed=seed,
             executor=self.executor,
             statistic=template._statistic,
-            cohort=template.cohort,
         )
 
     def run(
@@ -391,7 +390,6 @@ class FederatedSizeEstimator(_FederatedEstimatorBase):
             r=source.r,
             dub=source.dub,
             weight_adjustment=source.weight_adjustment,
-            cohort=source.cohort,
             seed=0,
         )
 
@@ -433,6 +431,5 @@ class FederatedAggEstimator(_FederatedEstimatorBase):
             r=source.r,
             dub=source.dub,
             weight_adjustment=source.weight_adjustment,
-            cohort=source.cohort,
             seed=0,
         )

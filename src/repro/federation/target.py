@@ -2,7 +2,7 @@
 
 The paper estimates aggregates over *one* hidden database; a real crawler
 faces a federation of them — many verticals, each with its own top-k
-limit, data skew, selection backend, query pricing and churn — and one
+limit, data skew, query pricing and churn — and one
 global query budget to spend across all of them.  :class:`FederatedSource`
 describes one member database (how to open clients against it, what its
 queries cost); :class:`FederatedTarget` is the ordered, uniquely-named
@@ -43,16 +43,9 @@ class FederatedSource:
     cost_per_query:
         Price of one query in budget units (sources behind slow or
         rate-limited forms cost more of the global budget per submission).
-    backend:
-        Optional selection-backend name; the table is re-served through it
-        (``"bitmap"`` for a source worth indexing, ``"scan"`` otherwise).
     r / dub / weight_adjustment:
         Per-source HD-UNBIASED parameters (Section 5.1); skewed sources
         warrant different divide-&-conquer settings than uniform ones.
-    cohort:
-        Level-synchronous cohort execution for this source's rounds
-        (default on).  A wall-clock knob only — charges and estimates
-        are identical either way.
     churn:
         Optional mutation workload (:class:`~repro.datasets.churn.ChurnGenerator`
         over this table).  :meth:`FederatedTarget.advance_epoch` steps
@@ -63,11 +56,9 @@ class FederatedSource:
     table: HiddenTable
     k: int = 100
     cost_per_query: float = 1.0
-    backend: Optional[str] = None
     r: int = 4
     dub: Optional[int] = 32
     weight_adjustment: bool = True
-    cohort: bool = True
     churn: Optional[object] = None  # ChurnGenerator, duck-typed via .epoch()
 
     def __post_init__(self) -> None:
@@ -79,8 +70,6 @@ class FederatedSource:
             raise ValueError(
                 f"cost_per_query must be positive, got {self.cost_per_query}"
             )
-        if self.backend is not None:
-            self.table = self.table.with_backend(self.backend)
 
     def make_client(self) -> HiddenDBClient:
         """A fresh client (own cache, own counter) over this source's form."""

@@ -6,12 +6,9 @@ form) and everything it hides (true counts, full result sets).
 """
 
 from repro.hidden_db.backends import (
-    BitmapIndexBackend,
     NaiveScanBackend,
     SelectionBackend,
-    available_backends,
     make_backend,
-    register_backend,
 )
 from repro.hidden_db.counters import HiddenDBClient, QueryCounter
 from repro.hidden_db.crawler import CrawlResult, crawl
@@ -58,10 +55,7 @@ __all__ = [
     "TableDelta",
     "SelectionBackend",
     "NaiveScanBackend",
-    "BitmapIndexBackend",
-    "available_backends",
     "make_backend",
-    "register_backend",
     "TopKInterface",
     "QueryOutcome",
     "QueryResult",

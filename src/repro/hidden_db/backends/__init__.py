@@ -1,25 +1,19 @@
-"""Pluggable selection backends for :class:`~repro.hidden_db.table.HiddenTable`.
+"""The selection backend behind :class:`~repro.hidden_db.table.HiddenTable`.
 
 See ``ARCHITECTURE.md`` at the repository root for the layering
-(interface → backend → engine) and a recipe for adding new backends.
+(interface → backend → engine) and how to plug in another backend.
 """
 
 from repro.hidden_db.backends.base import (
     BackendLike,
     SelectionBackend,
-    available_backends,
     make_backend,
-    register_backend,
 )
-from repro.hidden_db.backends.bitmap import BitmapIndexBackend
 from repro.hidden_db.backends.naive import NaiveScanBackend
 
 __all__ = [
     "SelectionBackend",
     "BackendLike",
     "NaiveScanBackend",
-    "BitmapIndexBackend",
-    "available_backends",
     "make_backend",
-    "register_backend",
 ]

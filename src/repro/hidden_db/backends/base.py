@@ -1,15 +1,13 @@
-"""Selection-backend protocol and registry.
+"""Selection-backend protocol.
 
 A *selection backend* is the storage engine behind a
 :class:`~repro.hidden_db.table.HiddenTable`: it answers conjunctive
 selections (`Sel(q)`) over the attribute matrix.  The table and the top-k
-interface delegate every selection to the backend, so swapping the physical
-evaluation strategy (row scans, bitmap indexes, future sharded/remote
-engines) never touches estimator code.
-
-Backends register themselves under a short name (``"scan"``, ``"bitmap"``)
-via :func:`register_backend`; :func:`make_backend` resolves a name, a class
-or a ready instance into a backend bound to one table's arrays.
+interface delegate every selection to the backend, so the physical
+evaluation strategy never touches estimator code.  The bundled backend is
+:class:`~repro.hidden_db.backends.naive.NaiveScanBackend`;
+:func:`make_backend` binds a backend class (or vouches for a ready
+instance) to one table's arrays, which is also how tests substitute fakes.
 
 Version awareness
 -----------------
@@ -18,10 +16,9 @@ mutation the table calls ``rebind(data, measures, alive, delta)`` on its
 backend: *data*/*measures* are the post-update physical arrays, *alive*
 the tombstone mask, and *delta* a
 :class:`~repro.hidden_db.versioning.TableDelta` naming exactly which
-physical rows changed.  A backend may honour the delta incrementally
-(:class:`BitmapIndexBackend` patches its masks in O(churn)) or simply
-invalidate memoised state and re-derive lazily
-(:class:`NaiveScanBackend`).  Backends without a ``rebind`` method are
+physical rows changed.  A backend may honour the delta incrementally or
+simply invalidate memoised state and re-derive lazily (as
+:class:`NaiveScanBackend` does).  Backends without a ``rebind`` method are
 rebuilt from scratch by the table, provided their constructor accepts the
 ``alive`` tombstone mask (or no tombstones exist yet); an alive-unaware
 backend facing deleted rows is refused outright rather than allowed to
@@ -32,8 +29,6 @@ from __future__ import annotations
 
 import inspect
 from typing import (
-    Callable,
-    Dict,
     List,
     Mapping,
     Optional,
@@ -54,8 +49,6 @@ from repro.hidden_db.versioning import TableDelta
 __all__ = [
     "SelectionBackend",
     "BackendLike",
-    "available_backends",
-    "register_backend",
     "make_backend",
     "sibling_window",
 ]
@@ -70,9 +63,6 @@ class SelectionBackend(Protocol):
     through different backends — or merged from parallel workers — are
     bit-identical.
     """
-
-    #: Registry name of the backend (``"scan"``, ``"bitmap"``, ...).
-    name: str
 
     def selection_ids(self, query: ConjunctiveQuery) -> np.ndarray:
         """Row ids of ``Sel(query)``, sorted ascending (dtype int64)."""
@@ -124,29 +114,7 @@ class SelectionBackend(Protocol):
 
 
 #: Anything :func:`make_backend` can resolve.
-BackendLike = Union[str, SelectionBackend, Type["SelectionBackend"]]
-
-_REGISTRY: Dict[str, Callable[..., "SelectionBackend"]] = {}
-
-
-def available_backends() -> tuple:
-    """Names of all registered backends, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def register_backend(name: str):
-    """Class decorator registering a backend under *name*.
-
-    >>> @register_backend("noop")           # doctest: +SKIP
-    ... class NoopBackend: ...
-    """
-
-    def decorate(cls):
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
+BackendLike = Union[SelectionBackend, Type["SelectionBackend"]]
 
 
 def make_backend(
@@ -158,47 +126,41 @@ def make_backend(
 ) -> "SelectionBackend":
     """Resolve *spec* into a backend bound to ``(data, measures)``.
 
-    *spec* may be a registered name, a backend class, or an already-built
-    instance (returned unchanged — the caller vouches it matches the table).
+    *spec* may be a backend class or an already-built instance (returned
+    unchanged — the caller vouches it matches the table).
     *alive* is the table's tombstone mask; ``None`` (or an all-true mask)
     means every physical row is live — the common case for freshly built
     tables.  A backend whose constructor does not accept ``alive`` can
     only be built while no tombstones exist: silently handing it the full
     physical arrays would resurrect deleted rows, so that case raises
-    instead.  Unknown names raise
-    :class:`~repro.hidden_db.exceptions.SchemaError` listing the
-    registered alternatives.
+    instead.
     """
+    if isinstance(spec, str):
+        raise SchemaError(
+            f"unknown selection backend {spec!r}; pass a backend class "
+            "(e.g. NaiveScanBackend) or a built instance"
+        )
     if alive is not None and bool(alive.all()):
         alive = None  # no tombstones: every backend can serve this
-    if isinstance(spec, str):
-        try:
-            cls = _REGISTRY[spec]
-        except KeyError:
-            raise SchemaError(
-                f"unknown selection backend {spec!r}; available: "
-                f"{list(available_backends())}"
-            ) from None
-    elif isinstance(spec, type):
+    if isinstance(spec, type):
         cls = spec
     else:
         if alive is not None:
             # A pre-built instance was constructed without the tombstone
             # mask; handing it out over a table with deleted rows would
-            # resurrect them.  The caller must build from name/class (so
+            # resurrect them.  The caller must build from the class (so
             # the mask can be injected) or pass a rebind-aware instance
             # through the table's mutation path instead.
             raise SchemaError(
                 f"cannot bind the pre-built backend instance "
                 f"{type(spec).__name__!r} to a table with deleted rows; "
-                "pass the backend name or class so the alive mask can be "
-                "applied"
+                "pass the backend class so the alive mask can be applied"
             )
         return spec
     if alive is not None:
         if not _accepts_alive(cls):
             raise SchemaError(
-                f"backend {getattr(cls, 'name', cls.__name__)!r} does not "
+                f"backend {cls.__name__!r} does not "
                 "accept an 'alive' tombstone mask; it cannot serve a table "
                 "with deleted rows (implement rebind()/alive= to support "
                 "mutation)"

@@ -2,7 +2,7 @@
 
 Evaluates conjunctive selections by incrementally narrowing row-id arrays,
 memoising every intermediate prefix so the sibling probes of a drill down
-cost O(|parent match|) instead of O(m).  This is the default backend: it
+cost O(|parent match|) instead of O(m).  This is the bundled backend: it
 needs no precomputation and its prefix cache fits drill-down workloads
 (each query extends its parent by one predicate) perfectly.
 
@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.hidden_db.backends.base import register_backend, sibling_window
+from repro.hidden_db.backends.base import sibling_window
 from repro.hidden_db.exceptions import SchemaError
 from repro.hidden_db.query import ConjunctiveQuery
 from repro.hidden_db.versioning import TableDelta
@@ -26,7 +26,6 @@ from repro.hidden_db.versioning import TableDelta
 __all__ = ["NaiveScanBackend"]
 
 
-@register_backend("scan")
 class NaiveScanBackend:
     """Incremental row-id narrowing with a bounded prefix cache.
 

@@ -48,7 +48,6 @@ def crawl(
     root: Optional[ConjunctiveQuery] = None,
     max_queries: Optional[int] = None,
     budget_action: str = "raise",
-    batch_probes: bool = True,
 ) -> CrawlResult:
     """Depth-first crawl of the database (or of the subtree under *root*).
 
@@ -56,8 +55,10 @@ def crawl(
     overflowing node, which share a parent conjunction and differ only in
     the last predicate's value.  That is exactly the shape the selection
     backends answer in one bulk pass (``selection_counts_many`` under
-    ``classify_many``), so with *batch_probes* the whole window costs one
-    backend scan of the parent's rows instead of one per child.
+    ``classify_many``), so the whole window costs one backend scan of the
+    parent's rows instead of one per child.  ``query_many`` replays the
+    charges one query at a time, so the budget cuts a window exactly
+    where a per-query loop would.
 
     Parameters
     ----------
@@ -75,13 +76,6 @@ def crawl(
         is exceeded — the guard against accidentally crawling a huge
         domain; ``"partial"`` stops gracefully and returns the tuples found
         so far with ``complete=False`` (a lower bound on the size).
-    batch_probes:
-        Answer each sibling window through
-        :meth:`HiddenDBClient.query_many` (default) instead of one
-        :meth:`~HiddenDBClient.query` per child.  A wall-clock knob: the
-        discovered tuples, charges and budget cut-offs are bit-identical
-        either way (``query_many`` replays charges one query at a time,
-        honouring the budget mid-window exactly like the loop).
 
     Returns
     -------
@@ -121,19 +115,11 @@ def crawl(
         window = stack.pop()
         if over_budget():
             return budget_stop()
-        if batch_probes:
-            # *until* fires after each replayed charge, so only the
-            # within-budget prefix of the window is ever charged — the
-            # same cut the per-query loop below makes.
-            results = client.query_many(
-                window, count_only=False, until=lambda r: over_budget()
-            )
-        else:
-            results = []
-            for q in window:
-                results.append(client.query(q))
-                if over_budget():
-                    break
+        # *until* fires after each replayed charge, so only the
+        # within-budget prefix of the window is ever charged.
+        results = client.query_many(
+            window, count_only=False, until=lambda r: over_budget()
+        )
         for query, result in zip(window, results):
             if result.underflow:
                 continue

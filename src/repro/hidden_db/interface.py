@@ -201,8 +201,8 @@ class TopKInterface:
         exhausted, mirroring per-IP limits of real hidden databases.
 
         With ``count_only=True`` the page is classified through the
-        backend's count fast path (on the bitmap backend a popcount — no id
-        materialisation, no ranking) and the displayed tuples stay lazy;
+        backend's count fast path (no ranking, no page built) and the
+        displayed tuples stay lazy;
         reading ``result.tuples`` later re-derives them deterministically.
         The submission is charged identically either way — *count_only*
         models a client that only inspects the overflow flag and result

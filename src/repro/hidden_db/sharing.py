@@ -56,8 +56,8 @@ _ArraySpec = Tuple[str, str, Tuple[int, ...], int]
 class SharedTableHandle:
     """Picklable description of an exported table — the whole IPC payload.
 
-    ``backend`` is the registry name (or class) of the selection engine to
-    rebuild worker-side; the engine itself is never shipped — indexes are
+    ``backend`` is the class of the selection engine to rebuild
+    worker-side; the engine itself is never shipped — its caches are
     derived state and each worker builds its own against the shared
     columns, once, on first attach.
     """
@@ -156,7 +156,7 @@ def export_table(table) -> TableExport:
         schema=table.schema,
         num_live=table._num_live,
         version=table._version,
-        backend=_portable_backend_spec(table),
+        backend=type(table._backend),
         max_cached_queries=table._max_cached_queries,
         check_duplicates=table._check_duplicates,
         tracker_pid=_tracker_pid(),
@@ -172,16 +172,6 @@ def _tracker_pid() -> Optional[int]:
         return resource_tracker._resource_tracker._pid
     except Exception:  # pragma: no cover - tracker internals vary
         return None
-
-
-def _portable_backend_spec(table):
-    """Registry name (preferred) or class of the table's backend."""
-    from repro.hidden_db.backends.base import available_backends
-
-    name = table.backend_name
-    if name in available_backends():
-        return name
-    return type(table._backend)
 
 
 #: Per-process memo of attached tables, keyed by shared-block name (a new

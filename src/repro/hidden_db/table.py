@@ -2,10 +2,9 @@
 
 ``HiddenTable`` is the *server side* storage: a numpy column store over the
 searchable attributes plus float measure columns.  Selection evaluation is
-delegated to a pluggable :mod:`repro.hidden_db.backends` engine — the
-default ``"scan"`` backend narrows cached row-id sets incrementally (ideal
-for drill-down workloads), the ``"bitmap"`` backend precomputes per-value
-boolean masks and answers conjunctions with vectorised intersections.
+delegated to a :mod:`repro.hidden_db.backends` engine — by default the scan
+backend, which narrows cached row-id sets incrementally (ideal for
+drill-down workloads).
 
 The table itself has *full knowledge* (it can count exactly); the top-k
 restriction lives in :mod:`repro.hidden_db.interface`.  Estimator code must
@@ -34,7 +33,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.hidden_db.backends import BackendLike, SelectionBackend, make_backend
+from repro.hidden_db.backends import (
+    BackendLike,
+    NaiveScanBackend,
+    SelectionBackend,
+    make_backend,
+)
 from repro.hidden_db.backends.base import _accepts_alive
 from repro.hidden_db.exceptions import MutationError, SchemaError
 from repro.hidden_db.query import ConjunctiveQuery
@@ -73,8 +77,7 @@ class HiddenTable:
         set this to True to verify (the check then also guards every
         ``apply_updates`` batch).
     backend:
-        Selection engine: a registered backend name (``"scan"``,
-        ``"bitmap"``), a backend class, or a pre-built instance.  See
+        Selection engine: a backend class or a pre-built instance.  See
         :mod:`repro.hidden_db.backends`.
     max_cached_queries:
         Bound on the backend's per-query memoisation cache.
@@ -87,7 +90,7 @@ class HiddenTable:
         measures: Optional[Mapping[str, np.ndarray]] = None,
         check_duplicates: bool = False,
         max_cached_queries: int = 2_000_000,
-        backend: BackendLike = "scan",
+        backend: BackendLike = NaiveScanBackend,
     ) -> None:
         data = np.ascontiguousarray(data)
         if data.ndim != 2:
@@ -234,11 +237,6 @@ class HiddenTable:
         """The selection engine answering conjunctive queries."""
         return self._backend
 
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the active backend."""
-        return getattr(self._backend, "name", type(self._backend).__name__)
-
     def with_backend(self, backend: BackendLike, **options) -> "HiddenTable":
         """A table over the same data served by a different backend.
 
@@ -248,8 +246,6 @@ class HiddenTable:
         member updates every member's arrays, version and backend, so
         siblings can never serve stale selections.
         """
-        if isinstance(backend, str) and backend == self.backend_name and not options:
-            return self
         options.setdefault("max_cached_queries", self._max_cached_queries)
         clone = HiddenTable.__new__(HiddenTable)
         clone.schema = self.schema
@@ -366,7 +362,7 @@ class HiddenTable:
                 continue
             if will_have_dead and not _accepts_alive(type(backend)):
                 raise SchemaError(
-                    f"backend {member.backend_name!r} has no rebind() and "
+                    f"backend {type(backend).__name__!r} has no rebind() and "
                     "no 'alive' constructor parameter; it cannot represent "
                     "deleted rows, so this update batch is refused"
                 )
@@ -617,6 +613,6 @@ class HiddenTable:
     def __repr__(self) -> str:
         return (
             f"HiddenTable(m={self.num_tuples}, n={self.num_attributes}, "
-            f"measures={list(self._measures)}, backend={self.backend_name!r}, "
-            f"version={self._version})"
+            f"measures={list(self._measures)}, "
+            f"backend={type(self._backend).__name__}, version={self._version})"
         )

@@ -11,7 +11,7 @@ rebuilt from scratch.
 Physical-row model
 ------------------
 ``HiddenTable`` uses **tombstones**: a deleted tuple keeps its physical row
-id (so surviving rows, client-side identities and bitmap columns never
+id (so surviving rows, client-side identities and backend caches never
 shift) but is flagged dead in the table's alive mask and excluded from
 every selection.  Inserted tuples are appended at the end of the physical
 arrays.  Modified tuples keep their physical id and change attribute values

@@ -60,8 +60,8 @@ _HTTP_METHODS = (b"GET ", b"POST ", b"PUT ", b"DELETE ", b"HEAD ", b"OPTIONS ")
 
 _HTTP_REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 429: "Too Many Requests",
-    503: "Service Unavailable",
+    405: "Method Not Allowed", 408: "Request Timeout",
+    429: "Too Many Requests", 503: "Service Unavailable",
 }
 
 
@@ -263,12 +263,16 @@ class EstimationServer:
 
     async def _read_line(self, reader):
         """One line under the idle timeout (``_IDLE`` on expiry)."""
+        return await self._idle_bounded(reader.readline())
+
+    async def _idle_bounded(self, read):
+        """Await the stream read *read* under the idle timeout.
+
+        Returns ``_IDLE`` when the peer sent nothing more for
+        ``idle_timeout`` seconds (``None`` waits forever).
+        """
         try:
-            if self.config.idle_timeout is None:
-                return await reader.readline()
-            return await asyncio.wait_for(
-                reader.readline(), self.config.idle_timeout
-            )
+            return await asyncio.wait_for(read, self.config.idle_timeout)
         except asyncio.TimeoutError:
             return _IDLE
 
@@ -465,17 +469,46 @@ class EstimationServer:
             return
         headers: Dict[str, str] = {}
         while True:
-            line = await self._read_line(reader)
+            try:
+                line = await self._read_line(reader)
+            except ValueError:  # header line over max_line_bytes
+                self._counters["protocol_errors"] += 1
+                await self._http_respond(writer, 400, {
+                    "status": "error",
+                    "error": "header line exceeds max_line_bytes",
+                })
+                return
             if line is _IDLE:
                 return
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        limit = self.config.max_line_bytes
+        if not 0 <= length <= limit:
+            self._counters["protocol_errors"] += 1
+            await self._http_respond(writer, 400, {
+                "status": "error",
+                "error": f"bad Content-Length {raw_length!r}: expected an "
+                         f"integer from 0 to max_line_bytes ({limit})",
+            })
+            return
         body = b""
-        length = int(headers.get("content-length") or 0)
         if length:
-            body = await reader.readexactly(length)
+            body = await self._idle_bounded(reader.readexactly(length))
+            if body is _IDLE:
+                self._counters["idle_closed"] += 1
+                await self._http_respond(writer, 408, {
+                    "status": "error",
+                    "error": f"request body shorter than its Content-Length "
+                             f"({length}) after idle_timeout",
+                })
+                return
         status, payload = await self._http_route(method, target, body)
         await self._http_respond(writer, status, payload)
 

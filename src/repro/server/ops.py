@@ -145,8 +145,8 @@ class ServiceProtocol:
         self._jobs: Dict[int, Job] = {}
         #: Terminal response fragments, oldest first (bounded window).
         self._terminal: "OrderedDict[int, Dict[str, Any]]" = OrderedDict()
-        #: Streaming jobs lost to a restart (their snapshots are gone).
-        self._orphaned: set = set()
+        #: Jobs lost to a restart -> why (their ``result`` error text).
+        self._orphaned: Dict[int, str] = {}
         #: Journaled job id -> the re-admitted job's live id.
         self._aliases: Dict[int, int] = {}
         if journal is not None and service.cache is not None:
@@ -266,7 +266,7 @@ class ServiceProtocol:
             live_id = self._aliases.get(job_id, job_id)
             job = self._jobs.get(live_id)
             terminal = self._terminal.get(live_id)
-            orphaned = job_id in self._orphaned
+            orphaned = self._orphaned.get(job_id)
         base = {"id": request_id, "job": live_id}
         if job is not None:
             return OpOutcome(
@@ -277,14 +277,14 @@ class ServiceProtocol:
             )
         if terminal is not None:
             return OpOutcome(response={**base, **terminal})
-        if orphaned:
+        if orphaned is not None:
             return OpOutcome(
                 response={
                     **base,
                     "job": job_id,
                     "status": "orphaned",
                     "state": "orphaned",
-                    "error": "streaming job lost to a server restart",
+                    "error": orphaned,
                 }
             )
         raise OpError(f"unknown job {job_id}")
@@ -347,8 +347,9 @@ class ServiceProtocol:
           previous server died mid-queue) — are re-admitted when
           *resubmit_orphans* and non-streaming (their original id aliases
           the new job; a warm cache usually makes the redo free), while
-          streaming orphans are marked ``orphaned`` (their snapshot
-          sequence is unrecoverable);
+          streaming orphans (their snapshot sequence is unrecoverable)
+          and orphans whose journaled spec no longer parses (written by
+          a version with other spec keys) are marked ``orphaned``;
         * surviving cache entries (epoch-version-exact: recorded at the
           fresh-start version of a rebuildable target) seed the service's
           result cache without touching its counters.
@@ -372,12 +373,27 @@ class ServiceProtocol:
             for token, spec_json, version, payload in state.cache_entries:
                 self.service.cache.seed(token, spec_json, version, payload)
         for record in state.orphans:
-            if record.get("stream") or not resubmit_orphans:
+            lost = None
+            if record.get("stream"):
+                lost = (
+                    "streaming job lost to a server restart (its snapshots "
+                    "cannot be replayed)"
+                )
+            elif not resubmit_orphans:
+                lost = "job lost to a server restart (orphans not re-admitted)"
+            else:
+                try:
+                    spec = EstimationSpec.from_dict(record["spec"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    lost = (
+                        "job lost to a server restart: its journaled spec "
+                        f"no longer parses ({exc})"
+                    )
+            if lost is not None:
                 with self._lock:
-                    self._orphaned.add(record["job"])
+                    self._orphaned[record["job"]] = lost
                 stats["orphans_marked"] += 1
                 continue
-            spec = EstimationSpec.from_dict(record["spec"])
             job = self.service.submit(spec, tenant=record["tenant"])
             with self._lock:
                 self._jobs[job.id] = job

@@ -28,11 +28,10 @@ Streaming jobs bypass the cache — their value is the per-round snapshot
 sequence, which a hit could not replay.
 
 Static and budgeted dataset specs share one compiled table per distinct
-``(dataset, backend)`` — compiled once, read concurrently (rounds never
-mutate it).  Tracking specs always run on a private copy (their churn
-epochs mutate it), and generated federations are rebuilt per job from the
-spec's seed; both remain cacheable because the spec fully determines the
-outcome.
+dataset — compiled once, read concurrently (rounds never mutate it).
+Tracking specs always run on a private copy (their churn epochs mutate
+it), and generated federations are rebuilt per job from the spec's seed;
+both remain cacheable because the spec fully determines the outcome.
 """
 
 from __future__ import annotations
@@ -102,9 +101,9 @@ class EstimationService:
         self.budgets = TenantBudgets(tenant_budgets, default_tenant_budget)
         self.scheduler = JobScheduler(self._run_job, workers=workers)
         self._lock = threading.Lock()
-        #: (token, backend) -> compiled shared table (dataset targets).
-        self._tables: Dict[Tuple[str, str], HiddenTable] = {}
-        #: token -> single-flight lock: one compiled family per dataset.
+        #: token -> compiled shared table (dataset targets).
+        self._tables: Dict[str, HiddenTable] = {}
+        #: token -> single-flight lock: one compiled table per dataset.
         self._table_locks: Dict[str, threading.Lock] = {}
         #: id(injected target) -> stable anonymous token.  Entries are
         #: dropped when the target is garbage-collected (the finalizer
@@ -177,48 +176,26 @@ class EstimationService:
         return token, table, int(table.version)
 
     def _shared_table(self, token: str, spec: EstimationSpec) -> HiddenTable:
-        """The shared compiled table for a dataset target.
-
-        Built once per ``(dataset, backend)`` under the lock;
-        ``with_backend`` on the compiled table is then an identity
-        operation inside the job, so concurrent jobs never mutate the
-        table family.
-        """
+        """The shared compiled table for a dataset target, built once."""
         from repro.api.compiler import build_table
 
-        key = (token, spec.target.backend)
         with self._lock:
-            table = self._tables.get(key)
+            table = self._tables.get(token)
             if table is not None:
                 return table
             token_lock = self._table_locks.setdefault(token, threading.Lock())
-        # Single flight per *dataset*: concurrent first submissions (even
-        # with different backends) serialize on the token lock, so the
-        # dataset gets exactly one family root — apply_updates must reach
-        # every backend's view.  Distinct datasets still compile in
-        # parallel, and the service-wide lock is never held across a
-        # generator build.
+        # Single flight per dataset: concurrent first submissions serialize
+        # on the token lock, so the dataset is generated exactly once.
+        # Distinct datasets still compile in parallel, and the
+        # service-wide lock is never held across a generator build.
         with token_lock:
             with self._lock:
-                table = self._tables.get(key)
+                table = self._tables.get(token)
                 if table is not None:
                     return table
-                base = None
-                # Reuse another backend's base arrays when available (the
-                # family shares data and versions by construction).
-                for (other_token, _), candidate in self._tables.items():
-                    if other_token == token:
-                        base = candidate
-                        break
-                if base is not None:
-                    # Cheap derivation (no data copy); mutates the base's
-                    # family list, so it stays under the service lock.
-                    table = build_table(spec, base, apply_backend=True)
-                    self._tables[key] = table
-                    return table
-            table = build_table(spec, None, apply_backend=True)
+            table = build_table(spec)
             with self._lock:
-                self._tables[key] = table
+                self._tables[token] = table
                 return table
 
     # -- submission --------------------------------------------------------
@@ -387,15 +364,12 @@ class EstimationService:
         else:
             token = _dataset_token(dataset)
             with self._lock:
-                candidates = [
-                    t for (tok, _), t in self._tables.items() if tok == token
-                ]
-            if not candidates:
+                table = self._tables.get(token)
+            if table is None:
                 raise KeyError(
                     f"no served table for dataset {dataset!r}; submit a "
                     f"spec against it first"
                 )
-            table = candidates[0]
         delta = table.apply_updates(
             inserts=inserts,
             deletes=deletes,

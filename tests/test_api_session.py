@@ -40,7 +40,7 @@ def iid_target(k=20, **kwargs):
 
 
 def hand_built_client(seed=3, k=20, m=500):
-    table = bool_iid(m=m, seed=seed).with_backend("scan")
+    table = bool_iid(m=m, seed=seed)
     return HiddenDBClient(TopKInterface(table, k)), table
 
 
@@ -75,7 +75,7 @@ class TestStaticEquivalence:
         report = Estimation(spec).run()
         from repro.datasets import yahoo_auto
 
-        table = yahoo_auto(m=400, seed=5).with_backend("scan")
+        table = yahoo_auto(m=400, seed=5)
         estimator = HDUnbiasedAgg(
             HiddenDBClient(TopKInterface(table, 30)),
             aggregate="sum", measure="PRICE", r=4, dub=32, seed=5,
@@ -121,7 +121,7 @@ class TestTrackingEquivalence:
         result = track(
             bool_iid(m=500, seed=3),
             epochs=3, churn=0.1, policy="reissue", k=25, rounds=8,
-            reissue_per_epoch=3, seed=2, churn_seed=0, backend="scan",
+            reissue_per_epoch=3, seed=2, churn_seed=0,
         )
         assert report.per_epoch == result.to_dict()["epochs"]
         assert report.total_queries == result.total_cost
@@ -143,8 +143,7 @@ class TestFederatedEquivalence:
     def test_matches_hand_built_stack(self):
         report = Estimation(self.spec()).run()
         target = heterogeneous_federation(
-            num_sources=2, base_m=250, k=16, overlap=0.0,
-            backend="scan", seed=7,
+            num_sources=2, base_m=250, k=16, overlap=0.0, seed=7,
         )
         result = FederatedSizeEstimator(
             target, policy="uniform", pilot_rounds=2, seed=7

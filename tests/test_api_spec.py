@@ -60,8 +60,15 @@ class TestEagerValidation:
     def test_unknown_dataset_and_backend(self):
         with pytest.raises(ValueError, match="unknown dataset"):
             DatasetSpec(name="postgres")
-        with pytest.raises(ValueError, match="unknown backend"):
-            dataset_target(backend="gpu")
+        # A target names no backend; a spec that does is refused like any
+        # other unknown key.
+        payload = EstimationSpec(target=dataset_target()).to_dict()
+        payload["target"]["backend"] = "gpu"
+        with pytest.raises(
+            ValueError,
+            match=r"unknown key\(s\) in spec section 'target': \['backend'\]",
+        ):
+            EstimationSpec.from_dict(payload)
 
     def test_churn_needs_dataset(self):
         with pytest.raises(ValueError, match="dataset targets only"):
@@ -225,6 +232,20 @@ class TestSerialization:
         payload = self.spec().to_dict()
         payload["regime"]["turbo"] = True
         with pytest.raises(ValueError, match="turbo"):
+            EstimationSpec.from_dict(payload)
+
+    def test_from_dict_rejects_retired_keys(self):
+        """Specs written for 1.6 set three keys this version dropped."""
+        payload = self.spec().to_dict()
+        payload["method"].update(batch_probes=None, cohort=False)
+        with pytest.raises(
+            ValueError,
+            match=r"section 'method': \['batch_probes', 'cohort'\]",
+        ):
+            EstimationSpec.from_dict(payload)
+        payload = self.spec().to_dict()
+        payload["target"]["backend"] = "scan"
+        with pytest.raises(ValueError, match=r"section 'target': \['backend'\]"):
             EstimationSpec.from_dict(payload)
 
     def test_from_dict_rejects_wrong_version(self):

@@ -1,19 +1,21 @@
-"""Backend equivalence and registry tests.
+"""Backend equivalence tests.
 
 The correctness contract of the backend layer is *id-level agreement*:
 every backend returns the same sorted row ids for every conjunctive query.
-Estimator output then cannot depend on the backend, which is asserted
-end-to-end at fixed seed.
+The scan backend is checked against the brute-force oracle backend
+(``oracles.BruteForceBackend``: a full scan of the live rows per query),
+and estimator output through either is asserted identical end-to-end at
+fixed seed.
 """
 
 import numpy as np
 import pytest
 
+from oracles import BruteForceBackend
 from repro.core import HDUnbiasedAgg, HDUnbiasedSize
 from repro.datasets import yahoo_auto
 from repro.hidden_db import (
     Attribute,
-    BitmapIndexBackend,
     ConjunctiveQuery,
     HiddenDBClient,
     HiddenTable,
@@ -21,12 +23,11 @@ from repro.hidden_db import (
     Schema,
     SchemaError,
     TopKInterface,
-    available_backends,
     make_backend,
 )
 from repro.utils.rng import spawn_rng
 
-ALL_BACKENDS = ("scan", "bitmap")
+ALL_BACKENDS = {"scan": NaiveScanBackend, "brute_force": BruteForceBackend}
 
 
 def random_table(rng, max_attrs=5, max_domain=6, max_rows=120):
@@ -58,15 +59,12 @@ def random_query(rng, schema, allow_absent_values=True):
 
 
 class TestRegistry:
-    def test_available_backends(self):
-        assert set(ALL_BACKENDS) <= set(available_backends())
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(SchemaError, match="unknown selection backend"):
             HiddenTable(
                 Schema([Attribute("A", 2)]),
                 np.zeros((1, 1), dtype=np.int64),
-                backend="nope",
+                backend="bitmap",
             )
 
     def test_make_backend_accepts_class_and_instance(self):
@@ -74,18 +72,6 @@ class TestRegistry:
         built = make_backend(NaiveScanBackend, data, {})
         assert isinstance(built, NaiveScanBackend)
         assert make_backend(built, data, {}) is built
-
-    def test_backend_names(self):
-        assert NaiveScanBackend.name == "scan"
-        assert BitmapIndexBackend.name == "bitmap"
-
-    def test_with_backend_same_name_is_identity(self):
-        table = random_table(spawn_rng(0))
-        assert table.with_backend("scan") is table
-        bitmap = table.with_backend("bitmap")
-        assert bitmap is not table
-        assert bitmap.backend_name == "bitmap"
-        assert bitmap.data is not None
 
 
 class TestEquivalenceProperty:
@@ -95,39 +81,33 @@ class TestEquivalenceProperty:
     def test_selection_ids_agree(self, trial):
         rng = spawn_rng(1000 + trial)
         table = random_table(rng)
-        bitmap = table.with_backend("bitmap")
+        oracle = table.with_backend(BruteForceBackend)
         for _ in range(25):
             query = random_query(rng, table.schema)
             scan_ids = table.selection_ids(query)
-            bitmap_ids = bitmap.selection_ids(query)
-            assert scan_ids.dtype == bitmap_ids.dtype == np.int64
-            assert np.array_equal(scan_ids, bitmap_ids), (
+            oracle_ids = oracle.selection_ids(query)
+            assert scan_ids.dtype == oracle_ids.dtype == np.int64
+            assert np.array_equal(scan_ids, oracle_ids), (
                 f"backends disagree on {query!r}"
             )
-            assert table.count(query) == bitmap.count(query)
+            assert table.count(query) == oracle.count(query)
             assert table.sum_measure(query, "X") == pytest.approx(
-                bitmap.sum_measure(query, "X")
+                oracle.sum_measure(query, "X")
             )
 
     def test_ids_sorted_ascending(self):
         rng = spawn_rng(7)
         table = random_table(rng, max_rows=200)
-        bitmap = table.with_backend("bitmap")
+        oracle = table.with_backend(BruteForceBackend)
         for _ in range(10):
             query = random_query(rng, table.schema)
-            for t in (table, bitmap):
+            for t in (table, oracle):
                 ids = t.selection_ids(query)
                 assert np.array_equal(ids, np.sort(ids))
 
-    def test_count_never_materialises_on_bitmap(self):
-        table = random_table(spawn_rng(3), max_rows=50).with_backend("bitmap")
-        query = ConjunctiveQuery().extended(0, 0)
-        count = table.backend.selection_count(query)
-        assert count == table.backend.selection_ids(query).size
-
 
 class TestEquivalenceAcrossEpochs:
-    """scan ≡ bitmap ≡ fresh rebuild after every apply_updates epoch."""
+    """scan ≡ brute force ≡ fresh rebuild after every apply_updates epoch."""
 
     def random_batch(self, rng, table):
         """A random (insert, delete, modify) batch legal for *table*."""
@@ -163,7 +143,7 @@ class TestEquivalenceAcrossEpochs:
     def test_backends_agree_after_every_epoch(self, trial):
         rng = spawn_rng(9_000 + trial)
         table = random_table(rng, max_rows=80)
-        bitmap = table.with_backend("bitmap")
+        oracle = table.with_backend(BruteForceBackend)
         for _epoch in range(4):
             inserts, deletes, modifications, measures = self.random_batch(
                 rng, table
@@ -172,8 +152,8 @@ class TestEquivalenceAcrossEpochs:
                 inserts=inserts, deletes=deletes,
                 modifications=modifications, insert_measures=measures,
             )
-            # Oracle: a from-scratch table over the live rows.
-            oracle = HiddenTable(
+            # A from-scratch table over the live rows.
+            fresh = HiddenTable(
                 table.schema,
                 np.asarray(table.data, dtype=np.int64),
                 {"X": np.asarray(table.measure("X"))},
@@ -181,35 +161,34 @@ class TestEquivalenceAcrossEpochs:
             for _ in range(15):
                 query = random_query(rng, table.schema)
                 scan_count = table.count(query)
-                bitmap_count = bitmap.count(query)
-                assert scan_count == bitmap_count == oracle.count(query), (
+                oracle_count = oracle.count(query)
+                assert scan_count == oracle_count == fresh.count(query), (
                     f"epoch {table.version}: backends disagree on {query!r}"
                 )
-                # Ids agree too (the oracle's ids are over compacted rows,
-                # so only scan/bitmap are compared id-for-id).
+                # Ids agree too (the fresh table's ids are over compacted
+                # rows, so only scan/brute force are compared id-for-id).
                 assert np.array_equal(
-                    table.selection_ids(query), bitmap.selection_ids(query)
+                    table.selection_ids(query), oracle.selection_ids(query)
                 )
                 assert table.sum_measure(query, "X") == pytest.approx(
-                    bitmap.sum_measure(query, "X")
+                    oracle.sum_measure(query, "X")
                 )
-        # The bitmap side must have used the incremental path throughout.
-        assert bitmap.backend.mask_delta_updates == 4
-        assert bitmap.backend.mask_rebuilds == 0
+        # The brute-force sibling was rebound with every epoch.
+        assert oracle.version == table.version == 4
 
     def test_estimator_backend_independent_across_epochs(self):
         """Fixed-seed estimation agrees between backends after churn."""
         results = {}
-        for backend in ALL_BACKENDS:
+        for name, backend in ALL_BACKENDS.items():
             table = yahoo_auto(m=800, seed=5).with_backend(backend)
             from repro.datasets import ChurnGenerator
 
             ChurnGenerator(table, rate=0.15, seed=3).run(2)
             client = HiddenDBClient(TopKInterface(table, 50))
             estimator = HDUnbiasedSize(client, r=2, dub=16, seed=99)
-            results[backend] = estimator.run(rounds=5)
-        assert results["scan"].estimates == results["bitmap"].estimates
-        assert results["scan"].total_cost == results["bitmap"].total_cost
+            results[name] = estimator.run(rounds=5)
+        assert results["scan"].estimates == results["brute_force"].estimates
+        assert results["scan"].total_cost == results["brute_force"].total_cost
 
 
 class TestInterfaceOverBackends:
@@ -219,13 +198,13 @@ class TestInterfaceOverBackends:
     def test_identical_pages(self, k):
         rng = spawn_rng(42)
         table = random_table(rng, max_rows=150)
-        bitmap = table.with_backend("bitmap")
+        oracle = table.with_backend(BruteForceBackend)
         scan_iface = TopKInterface(table, k)
-        bitmap_iface = TopKInterface(bitmap, k)
+        oracle_iface = TopKInterface(oracle, k)
         for _ in range(20):
             query = random_query(rng, table.schema)
             a = scan_iface.query(query)
-            b = bitmap_iface.query(query)
+            b = oracle_iface.query(query)
             assert a.outcome is b.outcome
             assert a.num_returned == b.num_returned
             assert [t.values for t in a.tuples] == [t.values for t in b.tuples]
@@ -246,24 +225,24 @@ class TestInterfaceOverBackends:
     def test_estimator_results_backend_independent(self):
         table = yahoo_auto(m=1_000, seed=5)
         results = {}
-        for backend in ALL_BACKENDS:
+        for name, backend in ALL_BACKENDS.items():
             client = HiddenDBClient(TopKInterface(table.with_backend(backend), 50))
             estimator = HDUnbiasedSize(client, r=2, dub=16, seed=99)
-            results[backend] = estimator.run(rounds=6)
-        scan, bitmap = results["scan"], results["bitmap"]
-        assert scan.estimates == bitmap.estimates
-        assert scan.total_cost == bitmap.total_cost
-        assert scan.trajectory.xs == bitmap.trajectory.xs
-        assert scan.trajectory.values == bitmap.trajectory.values
+            results[name] = estimator.run(rounds=6)
+        scan, oracle = results["scan"], results["brute_force"]
+        assert scan.estimates == oracle.estimates
+        assert scan.total_cost == oracle.total_cost
+        assert scan.trajectory.xs == oracle.trajectory.xs
+        assert scan.trajectory.values == oracle.trajectory.values
 
     def test_agg_estimator_backend_independent(self):
         table = yahoo_auto(m=800, seed=8)
         results = {}
-        for backend in ALL_BACKENDS:
+        for name, backend in ALL_BACKENDS.items():
             client = HiddenDBClient(TopKInterface(table.with_backend(backend), 50))
             estimator = HDUnbiasedAgg(
                 client, aggregate="sum", measure="PRICE", r=2, dub=16, seed=21
             )
-            results[backend] = estimator.run(rounds=4)
-        assert results["scan"].estimates == results["bitmap"].estimates
-        assert results["scan"].total_cost == results["bitmap"].total_cost
+            results[name] = estimator.run(rounds=4)
+        assert results["scan"].estimates == results["brute_force"].estimates
+        assert results["scan"].total_cost == results["brute_force"].total_cost

@@ -24,7 +24,6 @@ class TestParser:
         assert args.rounds is None  # resolved to 20 when no other stop
         assert args.query_budget is None
         assert args.target_precision is None
-        assert args.backend == "scan"
         assert args.workers == 1
 
     def test_federate_defaults(self):
@@ -40,11 +39,12 @@ class TestParser:
             build_parser().parse_args(["federate", "--policy", "magic"])
 
     def test_estimate_backend_and_workers_flags(self):
-        args = build_parser().parse_args(
-            ["estimate", "--backend", "bitmap", "--workers", "4"]
-        )
-        assert args.backend == "bitmap"
+        args = build_parser().parse_args(["estimate", "--workers", "4"])
         assert args.workers == 4
+        # One backend serves every table: the CLI takes no backend choice.
+        for command in ("estimate", "track", "federate"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--backend", "scan"])
 
     def test_estimate_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -124,8 +124,7 @@ class TestParser:
 class TestServeExecution:
     SPEC_LINE = json.dumps({
         "target": {"dataset": {"name": "iid", "m": 400, "seed": 3},
-                   "federation": None, "k": 24, "backend": "scan",
-                   "churn": None},
+                   "federation": None, "k": 24, "churn": None},
         "aggregate": {"kind": "size", "measure": None, "condition": None},
         "regime": {"rounds": 3, "query_budget": None,
                    "target_precision": None, "seed": 1, "workers": 1},
@@ -261,16 +260,6 @@ class TestExecution:
         assert code == 0
         out = capsys.readouterr().out
         assert "estimate=" in out and "m=1000" in out
-
-    def test_estimate_backend_independent(self, capsys):
-        base = ["estimate", "--dataset", "iid", "--m", "500", "--k", "20",
-                "--rounds", "4", "--seed", "3"]
-        assert main(base + ["--backend", "scan"]) == 0
-        scan_out = capsys.readouterr().out
-        assert main(base + ["--backend", "bitmap"]) == 0
-        bitmap_out = capsys.readouterr().out
-        assert scan_out.splitlines()[-1] == bitmap_out.splitlines()[-1]
-        assert "backend=bitmap" in bitmap_out
 
     def test_estimate_parallel_workers(self, capsys):
         code = main([

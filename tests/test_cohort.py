@@ -3,19 +3,19 @@
 The cohort engine (:mod:`repro.core.cohort`) interleaves a wave of
 rounds' probe plans and answers each level's grouped probes with one
 bulk backend pass, memoising identical ``(query, version)`` pages within
-the wave.  Its contract is *exact* equivalence with the per-round path:
-same estimates, same per-round charge ledgers, same cache statistics, at
-every worker count and under both executors.  These tests pin that
-contract, the front-door report bytes, the backend-invocation savings
-the memo exists for, and the serial fallbacks (wrapped interfaces, hard
-query limits).
+the wave.  Its contract is *exact* equivalence with the per-round loop
+(``oracles.per_round_loop``: one fresh estimator and one ``run_once``
+per round seed): same estimates, same per-round charge ledgers, same
+cache statistics, at every worker count and under both executors.  These
+tests pin that contract, the backend-invocation savings the memo exists
+for, and the serial fallbacks (wrapped interfaces, hard query limits).
 """
-
-import json
 
 import pytest
 
+from oracles import per_round_loop
 from repro.core import HDUnbiasedAgg, HDUnbiasedSize
+from repro.core.engine import merge_rounds
 from repro.datasets import yahoo_auto
 from repro.hidden_db import (
     FlakyInterface,
@@ -40,9 +40,26 @@ def table():
     return yahoo_auto(m=1_000, seed=5)
 
 
-def make_estimator(table, cohort, seed=7):
+def make_estimator(table, seed=7):
     client = HiddenDBClient(TopKInterface(table, 50))
-    return HDUnbiasedSize(client, r=2, dub=16, seed=seed, cohort=cohort)
+    return HDUnbiasedSize(client, r=2, dub=16, seed=seed)
+
+
+def per_round_reference(estimator, rounds, seed=99):
+    """What ``parallel_session(seed=seed).run(rounds)`` must reproduce.
+
+    Returns the merged result and the per-round client reports.
+    """
+    with estimator.parallel_session(1, seed=seed) as session:
+        seeds = session.round_seeds(rounds)
+    outcomes = per_round_loop(session.factory, seeds)
+    result = merge_rounds(
+        [outcome[0] for outcome in outcomes],
+        estimator._statistic,
+        estimator._dims,
+        stop_reason="rounds",
+    )
+    return result, [outcome[1] for outcome in outcomes]
 
 
 def _facts(result):
@@ -58,65 +75,42 @@ def _facts(result):
 
 class TestDeterminismMatrix:
     def test_every_cell_matches_the_serial_reference(self, table):
-        """{cohort on/off} x {workers 1/2/8} x {thread/process} agree.
+        """{workers 1/2/8} x {thread/process} agree with the loop.
 
-        The reference cell is cohort *off* at one worker — the original
-        per-round serial path.  Every other cell (including every cohort
-        cell) must reproduce its estimates AND its per-round cost/walk
-        ledgers bit-for-bit.
+        The reference is the per-round loop.  Every cell must reproduce
+        its estimates AND its per-round cost/walk ledgers bit-for-bit,
+        and the merged client reports.
         """
-        reference = None
-        for cohort in (False, True):
-            for workers, executor in MATRIX:
-                session = make_estimator(table, cohort).parallel_session(
-                    workers, seed=99, executor=executor
-                )
-                try:
-                    facts = _facts(session.run(rounds=10))
-                finally:
-                    session.close()
-                if reference is None:
-                    reference = facts
-                else:
-                    assert facts == reference, (cohort, workers, executor)
+        reference, reports = per_round_reference(make_estimator(table), 10)
+        expected_stats = {}
+        for report in reports:
+            for key, value in report.items():
+                expected_stats[key] = expected_stats.get(key, 0.0) + value
+        for workers, executor in MATRIX:
+            session = make_estimator(table).parallel_session(
+                workers, seed=99, executor=executor
+            )
+            try:
+                facts = _facts(session.run(rounds=10))
+            finally:
+                session.close()
+            assert facts == _facts(reference), (workers, executor)
+            for key in ("cost", "cache_hits", "cache_misses"):
+                assert session.client_stats[key] == expected_stats[key]
 
     def test_agg_estimator_cohort_invariant(self, table):
-        results = []
-        for cohort in (False, True):
-            client = HiddenDBClient(TopKInterface(table, 50))
-            estimator = HDUnbiasedAgg(
-                client, aggregate="sum", measure="PRICE",
-                r=2, dub=16, seed=31, cohort=cohort,
-            )
-            results.append(estimator.run(rounds=8, workers=4))
-        assert results[0].estimates == results[1].estimates
-        assert results[0].total_cost == results[1].total_cost
-
-    def test_front_door_report_bytes_cohort_invariant(self, table):
-        """Identical report JSON through ``repro.api`` either way.
-
-        The specs differ only in the ``cohort`` knob, so the embedded
-        spec is excluded from the byte comparison; everything measured
-        (estimates, CIs, costs, trajectory) must serialize identically.
-        """
-        from repro.api import (
-            DatasetSpec, Estimation, EstimationSpec, MethodSpec,
-            RegimeSpec, TargetSpec,
+        client = HiddenDBClient(TopKInterface(table, 50))
+        estimator = HDUnbiasedAgg(
+            client, aggregate="sum", measure="PRICE", r=2, dub=16, seed=31,
         )
-
-        payloads = []
-        for cohort in (False, None):
-            spec = EstimationSpec(
-                target=TargetSpec(
-                    dataset=DatasetSpec(name="iid", m=500, seed=3), k=20
-                ),
-                regime=RegimeSpec(rounds=6, seed=3, workers=2),
-                method=MethodSpec(cohort=cohort),
-            )
-            payload = Estimation(spec).run().to_dict()
-            payload.pop("spec")
-            payloads.append(json.dumps(payload, sort_keys=True))
-        assert payloads[0] == payloads[1]
+        reference, _ = per_round_reference(estimator, 8)
+        session = estimator.parallel_session(4, seed=99)
+        try:
+            result = session.run(rounds=8)
+        finally:
+            session.close()
+        assert result.estimates == reference.estimates
+        assert result.total_cost == reference.total_cost
 
 
 class _BackendSpy:
@@ -142,23 +136,25 @@ class TestProbeMemo:
     def test_memo_cuts_backend_dispatches_not_charges(self):
         """Charges are untouched; backend invocations drop.
 
-        Every round's counter must be charged exactly as the serial walk
-        charges it (the ledger equality), while the cohort's grouped
+        Every round's counter must be charged exactly as the per-round
+        loop charges it (the ledger equality), while the cohort's grouped
         answering + memo performs strictly fewer backend dispatches than
-        one-probe-at-a-time execution.
+        the loop's round-at-a-time execution.
         """
         dispatches = {}
         ledgers = {}
         for cohort in (False, True):
             table = yahoo_auto(m=1_000, seed=5)  # fresh caches per arm
             spy = _BackendSpy(table.backend)
-            session = make_estimator(table, cohort).parallel_session(
-                1, seed=99
-            )
-            try:
-                result = session.run(rounds=12)
-            finally:
-                session.close()
+            estimator = make_estimator(table)
+            if cohort:
+                session = estimator.parallel_session(1, seed=99)
+                try:
+                    result = session.run(rounds=12)
+                finally:
+                    session.close()
+            else:
+                result, _ = per_round_reference(estimator, 12)
             dispatches[cohort] = spy.calls
             ledgers[cohort] = [r.cost for r in result.raw_rounds]
         assert ledgers[True] == ledgers[False]
@@ -171,23 +167,19 @@ class TestSerialFallback:
 
         ``FlakyInterface`` has no ``classify_many`` — its seeded failure
         stream must see submissions one at a time — so cohort rounds run
-        through plain ``run_once`` and stay bit-identical to cohort off.
+        through plain ``run_once`` and stay bit-identical to the loop.
         """
-        facts = []
-        for cohort in (False, True):
-            flaky = FlakyInterface(
-                TopKInterface(table, 50), failure_rate=0.2, seed=17
-            )
-            client = HiddenDBClient(flaky, retries=50)
-            estimator = HDUnbiasedSize(
-                client, r=2, dub=16, seed=7, cohort=cohort
-            )
-            session = estimator.parallel_session(1, seed=99)
-            try:
-                facts.append(_facts(session.run(rounds=6)))
-            finally:
-                session.close()
-        assert facts[0] == facts[1]
+        flaky = FlakyInterface(
+            TopKInterface(table, 50), failure_rate=0.2, seed=17
+        )
+        client = HiddenDBClient(flaky, retries=50)
+        estimator = HDUnbiasedSize(client, r=2, dub=16, seed=7)
+        reference, _ = per_round_reference(estimator, 6)
+        session = estimator.parallel_session(1, seed=99)
+        try:
+            assert _facts(session.run(rounds=6)) == _facts(reference)
+        finally:
+            session.close()
 
     def test_hard_limit_falls_back_and_matches(self, table):
         """A hard query limit forces the literal loop's semantics.

@@ -201,20 +201,6 @@ class TestTrack:
         with pytest.raises(ValueError, match="policy"):
             track(table, epochs=2, policy="magic")
 
-    def test_bitmap_backend_tracks_identically(self):
-        results = []
-        for backend in (None, "bitmap"):
-            table = bool_iid(m=300, n=10, seed=1)
-            results.append(
-                track(
-                    table, epochs=3, churn=0.1, policy="reissue", k=32,
-                    rounds=8, reissue_per_epoch=3, seed=2, churn_seed=3,
-                    backend=backend,
-                )
-            )
-        assert results[0].estimates == results[1].estimates
-        assert results[0].costs == results[1].costs
-
 
 class TestEpochTrajectories:
     def test_replications_share_truths_and_vary_estimates(self):

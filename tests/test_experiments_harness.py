@@ -90,15 +90,6 @@ class TestFactories:
             assert a.xs == b.xs
             assert a.values == b.values
 
-    def test_factory_backend_option(self, table):
-        scan = hd_size_factory(table, k=10, budget=80, r=2, dub=8)
-        bitmap = hd_size_factory(
-            table, k=10, budget=80, r=2, dub=8, backend="bitmap"
-        )
-        a, b = scan(9), bitmap(9)
-        assert a.xs == b.xs
-        assert a.values == b.values
-
 
 class TestMetrics:
     def _trajectories(self):

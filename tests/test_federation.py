@@ -75,11 +75,6 @@ class TestTarget:
             sum(s.true_sum("VALUE") for s in target)
         )
 
-    def test_backend_reserved_per_source(self):
-        table = boolean_table(64, [0.5] * 8, seed=1)
-        source = FederatedSource("x", table, backend="bitmap")
-        assert source.table.backend_name == "bitmap"
-
 
 class TestPolicies:
     def test_registry(self):

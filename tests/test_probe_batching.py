@@ -6,20 +6,33 @@ The vectorised drill-down inner loop rides on two bulk surfaces —
 with the sequential ``query`` loop: same outcomes and counts, same
 charges in the same order, same cache state afterwards, same early-exit
 prefix under an ``until`` predicate.  These tests pin that contract on
-both selection backends, across cache states, and across table mutation
-(tombstoned rows), plus the end-to-end claim: an estimator with
-``batch_probes=True`` is bit-identical to one without.
+the scan backend and the brute-force oracle backend, across cache states,
+and across table mutation (tombstoned rows), plus the end-to-end claim:
+the walker, which batches sibling probes into windows, is bit-identical
+to the literal per-probe walk (``oracles.PerProbeWalker``) in outcomes,
+charges and client cache state.
 """
 
+import numpy as np
 import pytest
 
-from repro.core import HDUnbiasedSize
-from repro.datasets import yahoo_auto
-from repro.hidden_db import HiddenDBClient, TopKInterface
+from oracles import BruteForceBackend, PerProbeWalker, per_probe
+from repro.core import HDUnbiasedAgg, HDUnbiasedSize
+from repro.core.drilldown import Walker
+from repro.core.weights import UniformWeights, WeightStore
+from repro.datasets import bool_iid, yahoo_auto
+from repro.hidden_db import (
+    Attribute,
+    HiddenDBClient,
+    HiddenTable,
+    NaiveScanBackend,
+    Schema,
+    TopKInterface,
+)
 from repro.hidden_db.query import ConjunctiveQuery
 from repro.utils.rng import spawn_rng
 
-BACKENDS = ("scan", "bitmap")
+BACKENDS = {"scan": NaiveScanBackend, "brute_force": BruteForceBackend}
 
 
 def _random_queries(schema, count, seed=29, max_depth=3):
@@ -49,9 +62,9 @@ def _page_facts(result):
     return (result.outcome, result.num_returned)
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
+@pytest.fixture(scope="module", params=sorted(BACKENDS))
 def table(request):
-    return yahoo_auto(m=2_000, seed=13).with_backend(request.param)
+    return yahoo_auto(m=2_000, seed=13).with_backend(BACKENDS[request.param])
 
 
 class TestBackendCountsMany:
@@ -177,7 +190,9 @@ class TestClientQueryMany:
         assert costs[0] == costs[1] == 10
 
     def test_tombstoned_rows_after_apply_updates(self, table):
-        mutable = table.with_backend(table.backend_name)
+        mutable = yahoo_auto(m=2_000, seed=13).with_backend(
+            type(table.backend)
+        )
         queries = _random_queries(mutable.schema, 60)
         batched = HiddenDBClient(TopKInterface(mutable, k=25))
         looped = HiddenDBClient(TopKInterface(mutable, k=25))
@@ -201,11 +216,124 @@ class TestClientQueryMany:
 class TestEstimatorEquivalence:
     def test_batch_probes_is_bit_identical(self, table):
         results = {}
-        for batch in (False, True):
+        for literal in (False, True):
             estimator = HDUnbiasedSize(
                 HiddenDBClient(TopKInterface(table, k=25)),
-                r=2, dub=16, seed=41, batch_probes=batch,
+                r=2, dub=16, seed=41,
             )
-            results[batch] = estimator.run(rounds=12)
+            if literal:
+                per_probe(estimator)
+            results[literal] = estimator.run(rounds=12)
         assert results[False].estimates == results[True].estimates
         assert results[False].total_cost == results[True].total_cost
+
+
+def _wide_table(m=3_000, seed=17):
+    """A hand-built table whose first attribute has 40 values.
+
+    40 is above the weight store's scalar-list cutoff (32), so the walker
+    picks from a numpy distribution there.  Values are drawn with a steep
+    skew, so many of them underflow below most parents and both the
+    right walk and the left walk run long windows.
+    """
+    rng = spawn_rng(seed)
+    schema = Schema(
+        [Attribute("WIDE", 40), Attribute("MID", 5)]
+        + [Attribute(f"B{j}", 2) for j in range(8)],
+        measure_names=("X",),
+    )
+    wide = np.minimum(rng.geometric(0.3, size=4 * m) - 1, 39)
+    rows = np.column_stack(
+        [wide, rng.integers(0, 5, size=4 * m)]
+        + [rng.integers(0, 2, size=4 * m) for _ in range(8)]
+    )
+    rows = np.unique(rows, axis=0)
+    rows = rows[rng.permutation(rows.shape[0])[:m]]
+    return HiddenTable(schema, rows, {"X": rng.random(rows.shape[0]) * 10})
+
+
+ORACLE_TABLES = {
+    "yahoo": lambda: yahoo_auto(m=3_000, seed=13),  # fanouts 16 down to 2
+    "iid": lambda: bool_iid(m=3_000, seed=13),  # fanout 2 everywhere
+    "wide": _wide_table,  # one 40-value attribute
+}
+
+
+def _walk_facts(outcome):
+    return (
+        outcome.kind,
+        outcome.query.key,
+        outcome.probability,
+        outcome.result is None,
+        None if outcome.result is None else outcome.result.num_returned,
+        [
+            (s.node_key, s.attr, s.fanout, s.value, s.probability)
+            for s in outcome.steps
+        ],
+    )
+
+
+def _client_facts(client):
+    return client.cost, client.cache_info(), list(client._cache)
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_TABLES))
+def oracle_table(request):
+    return ORACLE_TABLES[request.param]()
+
+
+class TestWalkerMatchesPerProbeOracle:
+    """The windowed level step against the literal per-probe walk."""
+
+    @pytest.mark.parametrize("k", [3, 25])
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_walks_charges_and_cache_identical(self, oracle_table, k, adjusted):
+        order = list(oracle_table.schema.decreasing_fanout_order())
+        runs = []
+        for walker_class in (Walker, PerProbeWalker):
+            client = HiddenDBClient(TopKInterface(oracle_table, k))
+            weights = WeightStore() if adjusted else UniformWeights()
+            walker = walker_class(client, weights, spawn_rng(5))
+            outcomes = []
+            for _ in range(150):
+                outcome = walker.drill_down(ConjunctiveQuery(), order)
+                if adjusted:
+                    weights.record_walk(outcome.steps, 1.0)
+                outcomes.append(_walk_facts(outcome))
+            runs.append((outcomes, _client_facts(client)))
+        assert runs[0] == runs[1]
+
+    def test_estimators_identical(self, oracle_table):
+        measure = oracle_table.schema.measure_names[0]
+        results = []
+        for literal in (False, True):
+            client = HiddenDBClient(TopKInterface(oracle_table, 10))
+            estimator = HDUnbiasedAgg(
+                client, aggregate="sum", measure=measure, r=3, dub=8, seed=23,
+            )
+            if literal:
+                per_probe(estimator)
+            result = estimator.run(rounds=10)
+            results.append(
+                (result.estimates, result.total_cost, _client_facts(client))
+            )
+        assert results[0] == results[1]
+
+    def test_oracle_covers_the_wide_pick_and_backtracking(self):
+        """The wide table really exercises what the oracle is there for."""
+        table = _wide_table()
+        client = HiddenDBClient(TopKInterface(table, 3))
+        walker = Walker(client, UniformWeights(), spawn_rng(5))
+        order = list(table.schema.decreasing_fanout_order())
+        assert table.schema[order[0]].domain_size == 40
+        landed = set()
+        backtracked = 0
+        for _ in range(150):
+            outcome = walker.drill_down(ConjunctiveQuery(), order)
+            first = outcome.steps[0]
+            landed.add(first.value)
+            # A landing probability above one pick's share means the walk
+            # crossed a run of empty branches.
+            backtracked += first.probability > 1.5 / 40
+        assert len(landed) > 10
+        assert backtracked > 10

@@ -239,6 +239,44 @@ class TestRestartSemantics:
             service.close()
             journal.close()
 
+    def _restore_one_orphan(self, journal_path, spec_dict):
+        """Restore a journal holding one orphan whose spec is *spec_dict*."""
+        with open(journal_path, "w") as fh:
+            fh.write(canonical({
+                "kind": "submit", "job": ORPHAN_PLAIN, "tenant": "default",
+                "stream": False, "spec": spec_dict,
+            }))
+        journal, service, protocol, stats = self.second_life(journal_path)
+        try:
+            res = protocol.dispatch({"op": "result", "job": ORPHAN_PLAIN}, "x")
+        finally:
+            service.close()
+            journal.close()
+        return stats, res.response
+
+    def test_orphan_with_unknown_spec_key_is_marked(self, journal_path):
+        """A spec this version cannot parse must not stop the restart."""
+        spec_dict = make_spec(seed=15).to_dict()
+        spec_dict["method"] = {"retired_knob": None}
+        stats, response = self._restore_one_orphan(journal_path, spec_dict)
+        assert stats["orphans_marked"] == 1
+        assert stats["orphans_resubmitted"] == 0
+        assert response["status"] == response["state"] == "orphaned"
+        assert response["job"] == ORPHAN_PLAIN
+        assert "no longer parses" in response["error"]
+        assert "retired_knob" in response["error"]
+
+    def test_orphan_journaled_by_1_6_is_marked(self, journal_path):
+        """1.6 journals carry the spec keys this version dropped."""
+        spec_dict = make_spec(seed=16).to_dict()
+        spec_dict["method"].update(batch_probes=None, cohort=None)
+        spec_dict["target"]["backend"] = "scan"
+        stats, response = self._restore_one_orphan(journal_path, spec_dict)
+        assert stats["orphans_marked"] == 1
+        assert stats["orphans_resubmitted"] == 0
+        assert response["status"] == "orphaned"
+        assert "no longer parses" in response["error"]
+
     def test_fresh_ids_never_collide_with_replayed_ids(self, journal_path):
         spec = make_spec(seed=14)
         self.run_first_life(journal_path, spec)

@@ -308,6 +308,72 @@ class TestHttpBridge:
                 http_json(f"{base}/result/abc")
             assert excinfo.value.code == 400
 
+    @staticmethod
+    def raw_exchange(address, request: bytes, timeout=10.0):
+        """Send raw HTTP bytes, keep the socket open, read to EOF.
+
+        Returns ``(status, payload)`` of the one response the server
+        must send before closing; a hang fails on the socket timeout.
+        """
+        with socket.create_connection(address, timeout=timeout) as sock:
+            sock.sendall(request)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head, "connection closed without a response"
+        status = int(head.split(None, 2)[1])
+        return status, json.loads(body)
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_a_400(self, length):
+        with running_server(http=True) as bg:
+            status, payload = self.raw_exchange(
+                bg.address,
+                b"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}",
+            )
+        assert status == 400
+        assert payload["status"] == "error"
+        assert "Content-Length" in payload["error"]
+
+    def test_content_length_over_max_line_bytes_is_a_400(self):
+        with running_server(http=True, max_line_bytes=4096) as bg:
+            status, payload = self.raw_exchange(
+                bg.address,
+                b"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 5000\r\n\r\n{}",
+            )
+        assert status == 400
+        assert "max_line_bytes" in payload["error"]
+
+    def test_header_line_over_max_line_bytes_is_a_400(self):
+        with running_server(http=True, max_line_bytes=4096) as bg:
+            status, payload = self.raw_exchange(
+                bg.address,
+                b"GET /metrics HTTP/1.1\r\nX-Pad: " + b"a" * 5000
+                + b"\r\n\r\n",
+            )
+        assert status == 400
+        assert "max_line_bytes" in payload["error"]
+
+    def test_short_body_times_out_with_a_408(self):
+        with running_server(http=True, idle_timeout=0.5) as bg:
+            started = time.time()
+            status, payload = self.raw_exchange(
+                bg.address,
+                b"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n{\"target\":",
+            )
+            elapsed = time.time() - started
+        assert status == 408
+        assert payload["status"] == "error"
+        assert "Content-Length" in payload["error"]
+        assert elapsed < 5
+
     def test_http_disabled_by_default(self):
         with running_server() as bg, connected(bg) as client:
             # Without http=True a request line is just a malformed JSON

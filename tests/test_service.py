@@ -346,44 +346,43 @@ class TestEstimationService:
 
 
 class TestServiceHygiene:
-    def test_concurrent_backends_share_one_family(self):
-        # Racing first compiles of the same dataset under different
-        # backends must produce ONE table family: an epoch bump has to
-        # reach every backend's view, or a stale estimate gets cached.
+    def test_concurrent_first_compiles_share_one_table(self):
+        # Racing first compiles of the same dataset (here with different
+        # page sizes) must produce ONE table: an epoch bump has to reach
+        # every job's view, or a stale estimate gets cached.
         import threading
 
         with EstimationService(workers=2) as service:
             barrier = threading.Barrier(2)
             tables = {}
 
-            def compile_for(backend):
+            def compile_for(k):
                 spec = EstimationSpec(
                     target=TargetSpec(
-                        dataset=DatasetSpec(name="iid", m=400, seed=3),
-                        k=24,
-                        backend=backend,
+                        dataset=DatasetSpec(name="iid", m=400, seed=3), k=k
                     ),
                     regime=RegimeSpec(rounds=2, seed=0),
                 )
                 barrier.wait(5)
                 job = Job(spec)
                 token, table, version = service._resolve_target(job)
-                tables[backend] = table
+                tables[k] = table
 
             threads = [
-                threading.Thread(target=compile_for, args=(backend,))
-                for backend in ("scan", "bitmap")
+                threading.Thread(target=compile_for, args=(k,))
+                for k in (24, 48)
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(10)
-            assert tables["scan"].version == tables["bitmap"].version == 0
+            assert tables[24] is tables[48]
+            assert tables[24].version == 0
             service.apply_updates(
                 DatasetSpec(name="iid", m=400, seed=3), deletes=[0, 1]
             )
-            assert tables["scan"].version == 1
-            assert tables["bitmap"].version == 1  # same family root
+            assert tables[24].version == 1
+            assert service.metrics()["served_tables"] == 1
 
     def test_submit_after_close_cancels_the_lease(self):
         service = EstimationService(workers=1, tenant_budgets={"t": 100})

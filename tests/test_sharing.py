@@ -52,7 +52,7 @@ class TestExportAttach:
         assert attached.schema == table.schema
         assert attached.num_tuples == table.num_tuples
         assert attached.version == table.version
-        assert attached.backend_name == table.backend_name
+        assert type(attached.backend) is type(table.backend)
         for q in _probe_queries(table.schema):
             assert attached.count(q) == table.count(q)
 

@@ -1,9 +1,10 @@
-"""Legacy setup shim.
+"""Legacy setup shim; all metadata lives in pyproject.toml.
 
-The execution environment has no network and no `wheel` package, so PEP 660
-editable installs are unavailable; this shim lets
-``pip install -e . --no-build-isolation --no-use-pep517`` fall back to
-``setup.py develop``.  All metadata lives in pyproject.toml.
+Where pip can reach a package index, install with
+``pip install -e ".[test]"``.  Offline, without the ``wheel`` package,
+pip cannot build an editable install; ``python setup.py develop`` (run
+through this shim) installs the package and its ``hiddendb-repro``
+script instead.
 """
 
 from setuptools import setup

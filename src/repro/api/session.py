@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 from repro.api.compiler import (
     DEFAULT_FEDERATED_POLICY,
     build_estimator,
@@ -55,76 +53,9 @@ from repro.api.report import (
 )
 from repro.api.spec import EstimationSpec
 from repro.core.budget import QueryBudget, as_budget
-from repro.hidden_db.exceptions import QueryLimitExceeded
-from repro.utils.rng import spawn_rng
-from repro.utils.stats import RunningStats
+from repro.core.engine import _RoundFold
 
 __all__ = ["Estimation", "EstimationStream", "run_spec"]
-
-
-class _RoundAccumulator:
-    """Incremental round folding for streaming snapshots.
-
-    Maintains the running sums a sequential session keeps (mass-vector
-    sum, Welford stats over the per-round scalars, the cumulative-cost
-    trajectory) so each per-round snapshot costs O(1) accumulation plus
-    the O(n) copy of the trajectory it carries — instead of re-merging
-    the whole round list every yield.  The final snapshot is numerically
-    identical to :func:`~repro.core.engine.merge_rounds` over the same
-    rounds (same formulas, same order).
-    """
-
-    def __init__(self, estimator) -> None:
-        self._statistic = estimator._statistic
-        self._vector_sum = np.zeros(estimator._dims)
-        self._stats = RunningStats()
-        self._trajectory: list = []
-        self._cumulative_cost = 0
-        self.count = 0
-
-    def add(self, round_estimate) -> None:
-        self.count += 1
-        self._vector_sum += round_estimate.values
-        self._stats.add(self._statistic(round_estimate.values))
-        self._cumulative_cost += round_estimate.cost
-        self._trajectory.append(
-            (float(self._cumulative_cost), self.running)
-        )
-
-    def charge(self, cost: int) -> None:
-        """Record queries that produced no estimate (an aborted round).
-
-        Mirrors the sequential sessions, whose ``total_cost`` is the
-        client's charge delta — including a round a hard server limit
-        killed mid-walk — while the trajectory gets no point for it.
-        """
-        self._cumulative_cost += cost
-
-    @property
-    def running(self) -> float:
-        """The running statistic over the rounds folded so far."""
-        return self._statistic(self._vector_sum / self.count)
-
-    @property
-    def std_error(self) -> float:
-        return self._stats.std_error
-
-    def snapshot(
-        self, mode: str, spec, stop_reason: Optional[str] = None
-    ) -> AggregateReport:
-        return AggregateReport(
-            mode=mode,
-            estimate=self.running,
-            std_error=self._stats.std_error,
-            ci95=self._stats.confidence_interval(),
-            rounds=self.count,
-            total_queries=self._cumulative_cost,
-            cost_units=float(self._cumulative_cost),
-            stop_reason=stop_reason if stop_reason is not None else "streaming",
-            partial=stop_reason is None,
-            trajectory=list(self._trajectory),
-            spec=spec,
-        )
 
 
 class EstimationStream:
@@ -213,7 +144,14 @@ class Estimation:
     # -- one-shot execution ------------------------------------------------
 
     def run(self) -> AggregateReport:
-        """Execute the request to completion and report once."""
+        """Execute the request to completion and report once.
+
+        A ``target_precision`` spec, and a static or budgeted spec at
+        ``workers=1``, run the sequential session (one client shared by
+        every round); a static or budgeted spec at more workers, like its
+        :meth:`stream` at any worker count, gives every round a fresh
+        client.
+        """
         mode = self.mode
         if mode == "federated":
             target = build_federation(self.spec, self._federation)
@@ -240,10 +178,8 @@ class Estimation:
         if regime.target_precision is not None:
             result = estimator.run_until(
                 regime.target_precision,
-                max_rounds=(
-                    regime.rounds if regime.rounds is not None else 10_000
-                ),
                 query_budget=regime.query_budget,
+                **_round_cap(regime),
             )
         else:
             result = estimator.run(
@@ -325,173 +261,74 @@ class Estimation:
         cost model) so the snapshot sequence is bit-identical at every
         ``workers`` count; a ``target_precision`` spec streams the
         sequential adaptive session.  Tracking specs yield one snapshot
-        per epoch, federated specs one per scheduler phase.
+        per epoch, federated specs one per scheduler phase.  Each
+        adapter below iterates the generator that the matching
+        :meth:`run` path drains.
         """
         mode = self.mode
         if mode == "federated":
             return EstimationStream(self._federated_snapshots)
         if mode == "tracking":
             return EstimationStream(self._tracking_snapshots)
-        if self.spec.regime.target_precision is not None:
-            return EstimationStream(self._precision_snapshots)
-        return EstimationStream(self._engine_snapshots)
+        return EstimationStream(self._round_snapshots)
 
-    # -- generators (one per mode) ----------------------------------------
+    # -- adapters (one per generator kind) ---------------------------------
 
-    def _engine_snapshots(self, stream: EstimationStream):
-        """Wave-protocol streaming for static / budgeted specs.
-
-        Mirrors :meth:`ParallelSession.run_budgeted`: leases and round
-        seeds are issued in round order ahead of each wave, rounds are
-        settled in round order, and a snapshot is yielded per admitted
-        round — so the sequence is invariant under the worker count and
-        only the discarded speculative work varies.
-        """
+    def _round_snapshots(self, stream: EstimationStream):
+        """One snapshot per admitted round (static / budgeted /
+        precision specs)."""
         spec = self.spec
-        table = build_table(spec, self._table)
-        self.table = table
-        estimator = build_estimator(spec, table)
-        rounds = resolve_rounds(spec)
-        workers = spec.regime.workers
-        # Same session-seed derivation as the facade's run() at
-        # workers > 1 — one draw from the estimator's RNG.
-        session_seed = int(estimator.rng.integers(0, 2**63 - 1))
-        session = estimator.parallel_session(
-            workers, seed=session_seed, executor=spec.regime.executor
-        )
-        master = spawn_rng(session_seed)
-        budget = as_budget(spec.regime.query_budget)
-        stream.budget = budget
-        accumulator = _RoundAccumulator(estimator)
-        pending = []
-        stop_reason = None
-        try:
-            while True:
-                if rounds is not None and accumulator.count >= rounds:
-                    stop_reason = "rounds"
-                    break
-                if budget.exhausted:
-                    stop_reason = "budget"
-                    break
-                wave = workers
-                if rounds is not None:
-                    wave = min(wave, rounds - accumulator.count)
-                leases = [budget.lease() for _ in range(wave)]
-                pending = list(leases)
-                seeds = [
-                    int(master.integers(0, 2**63 - 1)) for _ in range(wave)
-                ]
-                outcomes = session.run_rounds(seeds)
-                for lease, (round_estimate, _stats) in zip(leases, outcomes):
-                    if budget.exhausted:
-                        budget.cancel(lease)
-                        pending.remove(lease)
-                        continue
-                    budget.settle(lease, round_estimate.cost)
-                    pending.remove(lease)
-                    accumulator.add(round_estimate)
-                    yield accumulator.snapshot(self.mode, spec)
-            if not accumulator.count:
-                raise ValueError("the query budget allowed no rounds at all")
-            stream.result = accumulator.snapshot(self.mode, spec, stop_reason)
-        finally:
-            session.close()
-            for lease in pending:
-                budget.cancel(lease)
-            if stream.result is None and accumulator.count:
-                stream.result = accumulator.snapshot(
-                    self.mode, spec, "cancelled"
-                )
-
-    def _precision_snapshots(self, stream: EstimationStream):
-        """Sequential adaptive streaming (``target_precision`` specs).
-
-        The streaming twin of :meth:`HDUnbiasedSize.run_until`: same
-        client, same stopping rules, one snapshot per round.
-        """
-        spec = self.spec
-        table = build_table(spec, self._table)
-        self.table = table
-        estimator = build_estimator(spec, table)
         regime = spec.regime
-        target = regime.target_precision
-        max_rounds = regime.rounds if regime.rounds is not None else 10_000
-        min_rounds, stall_rounds, z = 5, 50, 1.96
+        table = build_table(spec, self._table)
+        self.table = table
+        estimator = build_estimator(spec, table)
         budget = as_budget(regime.query_budget)
         stream.budget = budget
-        accumulator = _RoundAccumulator(estimator)
-        stalled = 0
-        stop_reason = "max_rounds"
-        lease = None
+        fold = _RoundFold(estimator._statistic, estimator._dims)
+        if regime.target_precision is not None:
+            rounds = estimator._until_rounds(
+                fold, regime.target_precision, query_budget=budget,
+                **_round_cap(regime),
+            )
+        else:
+            rounds = estimator._engine_rounds(
+                fold, budget, resolve_rounds(spec), regime.workers,
+                regime.executor,
+            )
         try:
-            while accumulator.count < max_rounds:
-                if budget.exhausted:
-                    stop_reason = "budget"
-                    break
-                if budget.total is not None and stalled >= stall_rounds:
-                    stop_reason = "stalled"
-                    break
-                lease = budget.lease()
-                cost_before = estimator.client.cost
-                try:
-                    round_estimate = estimator.run_once()
-                except QueryLimitExceeded:
-                    aborted_cost = estimator.client.cost - cost_before
-                    budget.settle(lease, aborted_cost)
-                    lease = None
-                    if accumulator.count:
-                        accumulator.charge(aborted_cost)
-                        stop_reason = "hard_limit"
-                        break
-                    raise
-                budget.settle(lease, round_estimate.cost)
-                lease = None
-                stalled = stalled + 1 if round_estimate.cost == 0 else 0
-                accumulator.add(round_estimate)
-                yield accumulator.snapshot(self.mode, spec)
-                running = accumulator.running
-                if accumulator.count >= min_rounds and running != 0:
-                    if z * accumulator.std_error <= target * abs(running):
-                        stop_reason = "precision"
-                        break
-            if not accumulator.count:
-                raise ValueError("the query budget allowed no rounds at all")
-            stream.result = accumulator.snapshot(self.mode, spec, stop_reason)
+            for _ in rounds:
+                yield self._round_report(fold, partial=True)
+            stream.result = self._round_report(fold)
         finally:
-            if lease is not None and lease.open:
-                budget.cancel(lease)
-            if stream.result is None and accumulator.count:
-                stream.result = accumulator.snapshot(
-                    self.mode, spec, "cancelled"
-                )
+            rounds.close()
+            if stream.result is None and fold.count:
+                fold.stop_reason = "cancelled"
+                stream.result = self._round_report(fold)
+
+    def _round_report(self, fold, partial: bool = False) -> AggregateReport:
+        return report_from_estimation(
+            fold.result(), self.mode, self.spec, partial=partial
+        )
 
     def _tracking_snapshots(self, stream: EstimationStream):
         """One snapshot per epoch for tracking specs."""
-        from repro.core.dynamic import TrackResult, _ground_truth, build_tracker
+        from repro.core.dynamic import _track_epochs, build_tracker
 
         spec = self.spec
-        table = build_table(spec, self._table)
         loop_kwargs, build_kwargs = tracker_kwargs(spec)
-        estimator, churn_gen, table = build_tracker(table, **build_kwargs)
-        self.table = table
-        result = TrackResult(policy=build_kwargs["policy"])
+        tracker = build_tracker(build_table(spec, self._table), **build_kwargs)
+        self.table = tracker[2]
+        epochs = _track_epochs(
+            tracker, loop_kwargs["epochs"], build_kwargs["policy"]
+        )
+        result = None
         try:
-            for epoch in range(loop_kwargs["epochs"]):
-                if epoch:
-                    churn_gen.epoch()
-                epoch_estimate = estimator.step()
-                epoch_estimate.truth = _ground_truth(
-                    table,
-                    build_kwargs["aggregate"],
-                    build_kwargs["measure"],
-                    estimator._template.condition,
-                )
-                result.epochs.append(epoch_estimate)
+            for result in epochs:
                 yield report_from_track(result, spec, partial=True)
             stream.result = report_from_track(result, spec)
         finally:
-            estimator.close()
-            if stream.result is None and result.epochs:
+            epochs.close()
+            if stream.result is None and result is not None:
                 stream.result = report_from_track(
                     result, spec, stop_reason="cancelled"
                 )
@@ -578,6 +415,12 @@ class Estimation:
             pilot_cost_units=ledger_spent,
             spec=self.spec,
         )
+
+
+def _round_cap(regime) -> dict:
+    """The spec's round cap for a precision session; without one the
+    estimator's own ``max_rounds`` default applies."""
+    return {} if regime.rounds is None else {"max_rounds": regime.rounds}
 
 
 def run_spec(spec: EstimationSpec, table=None, federation=None) -> AggregateReport:

@@ -27,7 +27,7 @@ walks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Sequence
+from typing import Callable, Generator, List, Sequence
 
 import numpy as np
 
@@ -103,7 +103,6 @@ def estimate_tree_plan(
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     stats = TreeEstimate(values=np.zeros(dims))
-    scalar = dims == 1 and alignment_component == 0
 
     def subtree(node: ConjunctiveQuery, layer: int) -> Generator:
         if layer >= len(segments):
@@ -113,71 +112,36 @@ def estimate_tree_plan(
             )
         stats.subtrees += 1
         stats.deepest_layer = max(stats.deepest_layer, layer)
-        tv_total = np.zeros(dims)
+        # One float per mass component: the IEEE double ops of length-dims
+        # numpy arrays, without numpy's per-call cost on every walk.
+        tv_total = [0.0] * dims
         bottom = {}
         for _ in range(r):
             walk = yield from walker.drill_down_plan(node, segments[layer])
             stats.walks += 1
             if walk.kind is WalkKind.TOP_VALID:
-                mass = np.asarray(mass_fn(walk.result), dtype=float)
-                tv_total += mass / walk.probability
+                mass = np.asarray(mass_fn(walk.result), dtype=float).tolist()
+                for i, value in enumerate(mass):
+                    tv_total[i] += value / walk.probability
                 walker.weights.record_walk(
-                    walk.steps, float(mass[alignment_component])
+                    walk.steps, mass[alignment_component]
                 )
             else:
                 entry = bottom.setdefault(walk.query.key, _BottomEntry(walk.query))
                 entry.sum_inverse_p += 1.0 / walk.probability
                 entry.step_lists.append(walk.steps)
-        bo_total = np.zeros(dims)
+        bo_total = [0.0] * dims
         for entry in bottom.values():
             sub_estimate = yield from subtree(entry.query, layer + 1)
-            bo_total += sub_estimate * entry.sum_inverse_p
+            for i, value in enumerate(sub_estimate):
+                bo_total[i] += value * entry.sum_inverse_p
             for steps in entry.step_lists:
                 walker.weights.record_walk(
-                    steps, float(sub_estimate[alignment_component])
+                    steps, sub_estimate[alignment_component]
                 )
-        return (tv_total + bo_total) / r
+        return [(tv + bo) / r for tv, bo in zip(tv_total, bo_total)]
 
-    def subtree_scalar(node: ConjunctiveQuery, layer: int) -> Generator:
-        # One-component fast path (size/sum estimation): the same
-        # accumulation in plain floats, passed between recursion levels
-        # without array wrapping — elementwise numpy ops on a length-1
-        # float64 array are the identical IEEE double ops, so the bits
-        # match the vector path above.
-        if layer >= len(segments):
-            raise RuntimeError(
-                "a fully-specified query overflowed: the table violates the "
-                "no-duplicate-tuples assumption"
-            )
-        stats.subtrees += 1
-        stats.deepest_layer = max(stats.deepest_layer, layer)
-        segment = segments[layer]
-        record_walk = walker.weights.record_walk
-        tv_scalar = 0.0
-        bottom: Dict[frozenset, _BottomEntry] = {}
-        for _ in range(r):
-            walk = yield from walker.drill_down_plan(node, segment)
-            stats.walks += 1
-            if walk.kind is WalkKind.TOP_VALID:
-                mass = float(mass_fn(walk.result)[0])
-                tv_scalar += mass / walk.probability
-                record_walk(walk.steps, mass)
-            else:
-                entry = bottom.setdefault(walk.query.key, _BottomEntry(walk.query))
-                entry.sum_inverse_p += 1.0 / walk.probability
-                entry.step_lists.append(walk.steps)
-        bo_scalar = 0.0
-        for entry in bottom.values():
-            sub_value = yield from subtree_scalar(entry.query, layer + 1)
-            bo_scalar += sub_value * entry.sum_inverse_p
-            for steps in entry.step_lists:
-                record_walk(steps, sub_value)
-        return (tv_scalar + bo_scalar) / r
-
-    if scalar:
-        stats.values = np.array(((yield from subtree_scalar(root, 0)),))
-    else:
-        stats.values = yield from subtree(root, 0)
+    stats.values = np.array((yield from subtree(root, 0)))
     return stats
 
 

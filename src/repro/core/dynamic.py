@@ -412,11 +412,10 @@ def build_tracker(
 ):
     """Wire up one tracking session: ``(estimator, churn_gen, table)``.
 
-    This is :func:`track`'s construction phase, exposed so callers that
-    drive epochs themselves (the streaming front door in
-    :mod:`repro.api`) build the exact same stack ``track`` runs.  The
-    returned *table* is the one the estimator reads and the one
-    *churn_gen* mutates.
+    This is :func:`track`'s construction phase, exposed so the streaming
+    front door in :mod:`repro.api` builds the exact same stack and runs
+    it through the same epoch loop.  The returned *table* is the one the
+    estimator reads and the one *churn_gen* mutates.
     """
     from repro.datasets.churn import ChurnGenerator
     from repro.hidden_db.interface import TopKInterface
@@ -492,7 +491,7 @@ def track(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    estimator, churn_gen, table = build_tracker(
+    tracker = build_tracker(
         table,
         churn=churn,
         policy=policy,
@@ -509,6 +508,20 @@ def track(
         executor=executor,
         **estimator_kwargs,
     )
+    for result in _track_epochs(tracker, epochs, policy, record_truth):
+        pass
+    return result
+
+
+def _track_epochs(tracker, epochs: int, policy: str, record_truth: bool = True):
+    """:func:`track`'s epoch loop over a :func:`build_tracker` triple.
+
+    Yields the growing :class:`TrackResult` after each epoch.  :func:`track`
+    drains it and the tracking stream of :meth:`Estimation.stream
+    <repro.api.session.Estimation.stream>` iterates it; ending or closing
+    it releases the tracker's worker pool.
+    """
+    estimator, churn_gen, table = tracker
     result = TrackResult(policy=policy)
     try:
         for epoch in range(epochs):
@@ -517,10 +530,10 @@ def track(
             epoch_estimate = estimator.step()
             if record_truth:
                 epoch_estimate.truth = _ground_truth(
-                    table, aggregate, measure,
+                    table, estimator.aggregate, estimator.measure,
                     estimator._template.condition,
                 )
             result.epochs.append(epoch_estimate)
+            yield result
     finally:
         estimator.close()
-    return result

@@ -66,6 +66,75 @@ __all__ = ["ParallelSession", "merge_rounds"]
 EstimatorFactory = Callable[[int], "object"]
 
 
+class _RoundFold:
+    """One session's admitted rounds, folded in round order.
+
+    Both cost models' round loops and :func:`merge_rounds` fold through
+    this.  Its running sums make a streaming snapshot cost O(1) plus the
+    copy of the trajectory it carries.  A round loop records why it
+    stopped in :attr:`stop_reason`.
+    """
+
+    def __init__(
+        self,
+        statistic: Callable[[np.ndarray], float],
+        dims: Optional[int] = None,
+    ) -> None:
+        self.statistic = statistic
+        # Sized by the first round when the caller cannot know *dims*.
+        self.vector_sum = None if dims is None else np.zeros(dims)
+        self.rounds: List["object"] = []
+        self.scalars: List[float] = []
+        self.stats = RunningStats()
+        self.trajectory = StreamingMeanSeries()
+        self.total_cost = 0
+        self.stop_reason: Optional[str] = None
+
+    @property
+    def count(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def running(self) -> float:
+        """The running statistic over the rounds folded so far."""
+        return self.statistic(self.vector_sum / len(self.rounds))
+
+    def add(self, round_estimate) -> None:
+        values = round_estimate.values
+        if self.vector_sum is None:
+            self.vector_sum = np.zeros(len(values))
+        self.vector_sum += values
+        self.rounds.append(round_estimate)
+        scalar = self.statistic(values)
+        self.scalars.append(scalar)
+        self.stats.add(scalar)
+        self.total_cost += round_estimate.cost
+        self.trajectory.append(self.total_cost, self.running)
+
+    def charge(self, cost: int) -> None:
+        """Count an aborted round's queries (no trajectory point)."""
+        self.total_cost += cost
+
+    def result(self) -> "object":
+        """The :class:`~repro.core.estimators.EstimationResult` so far; it
+        shares the fold's lists, so a lasting snapshot copies them."""
+        from repro.core.estimators import EstimationResult
+
+        if not self.rounds:
+            raise ValueError("cannot merge an empty round list")
+        return EstimationResult(
+            estimates=self.scalars,
+            mean=self.running,
+            std_error=self.stats.std_error,
+            ci95=self.stats.confidence_interval(),
+            total_cost=self.total_cost,
+            rounds=self.count,
+            trajectory=self.trajectory,
+            raw_rounds=self.rounds,
+            stop_reason=self.stop_reason,
+        )
+
+
 def merge_rounds(
     per_round: List["object"],
     statistic: Callable[[np.ndarray], float],
@@ -80,32 +149,11 @@ def merge_rounds(
     scalars.  A ``None`` *stop_reason* is coerced to ``"rounds"`` by the
     result type — every session end reports a concrete reason.
     """
-    from repro.core.estimators import EstimationResult
-
-    if not per_round:
-        raise ValueError("cannot merge an empty round list")
-    vector_sum = np.zeros(dims)
-    scalars: List[float] = []
-    trajectory = StreamingMeanSeries()
-    cumulative_cost = 0
-    for i, round_estimate in enumerate(per_round):
-        vector_sum += round_estimate.values
-        scalars.append(statistic(round_estimate.values))
-        cumulative_cost += round_estimate.cost
-        trajectory.append(cumulative_cost, statistic(vector_sum / (i + 1)))
-    stats = RunningStats()
-    stats.extend(scalars)
-    return EstimationResult(
-        estimates=scalars,
-        mean=statistic(vector_sum / len(per_round)),
-        std_error=stats.std_error,
-        ci95=stats.confidence_interval(),
-        total_cost=cumulative_cost,
-        rounds=len(per_round),
-        trajectory=trajectory,
-        raw_rounds=list(per_round),
-        stop_reason=stop_reason,
-    )
+    fold = _RoundFold(statistic, dims)
+    for round_estimate in per_round:
+        fold.add(round_estimate)
+    fold.stop_reason = stop_reason
+    return fold.result()
 
 
 @dataclass
@@ -272,10 +320,13 @@ class ParallelSession:
         """
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
-        outcomes = self.run_rounds(self.round_seeds(rounds))
-        per_round = [outcome[0] for outcome in outcomes]
-        self.client_stats = _sum_reports([outcome[1] for outcome in outcomes])
-        return self._merge(per_round, stop_reason="rounds")
+        fold = self._fold()
+        # One wave holds every round: a cohort holding many rounds fuses
+        # more probes per level than several smaller ones.
+        for _ in self._waves(fold, QueryBudget(), rounds, wave_size=rounds):
+            pass
+        fold.stop_reason = "rounds"
+        return fold.result()
 
     def run_budgeted(
         self,
@@ -308,7 +359,30 @@ class ParallelSession:
         guarantees itself two rounds even on a tiny grant.  Admission
         stays a pure round-order rule either way.
         """
-        budget = as_budget(budget)
+        fold = self._fold()
+        for _ in self._waves(
+            fold, as_budget(budget), max_rounds, cost_scale, min_rounds
+        ):
+            pass
+        return fold.result()
+
+    def _waves(
+        self,
+        fold: _RoundFold,
+        budget: QueryBudget,
+        max_rounds: Optional[int] = None,
+        cost_scale: float = 1.0,
+        min_rounds: int = 0,
+        wave_size: Optional[int] = None,
+    ):
+        """The engine cost model's round loop: the wave protocol.
+
+        Waves of *wave_size* rounds (default ``workers``) are settled in
+        round order into *fold*, each admitted ``RoundEstimate`` yielded
+        once folded; ``fold.stop_reason`` ends as "max_rounds" or
+        "budget".  :meth:`run` and :meth:`run_budgeted` drain it, a
+        stream iterates it, and closing it cancels the open leases.
+        """
         if budget.total is None and max_rounds is None:
             raise ValueError(
                 "an unlimited ledger needs max_rounds (nothing else stops "
@@ -322,54 +396,57 @@ class ParallelSession:
             raise ValueError(f"min_rounds must be >= 0, got {min_rounds}")
         if max_rounds is not None:
             min_rounds = min(min_rounds, max_rounds)
+        wave_size = wave_size or self.workers
         master = spawn_rng(self.seed)
-        admitted: List["object"] = []
         reports: List[Dict[str, float]] = []
+        leases: List = []
         self.speculative_rounds = 0
-        stop_reason = "budget"
-        while True:
-            if max_rounds is not None and len(admitted) >= max_rounds:
-                stop_reason = "max_rounds"
-                break
-            forced_left = max(0, min_rounds - len(admitted))
-            if budget.exhausted and not forced_left:
-                break
-            # On an exhausted ledger only the forced remainder may run.
-            wave = self.workers if not budget.exhausted else forced_left
-            if max_rounds is not None:
-                wave = min(wave, max_rounds - len(admitted))
-            # Leases issued in round order up front, one per wave slot;
-            # seeds come from the same master stream in the same order, so
-            # round i's seed never depends on the wave partitioning.
-            leases = [
-                budget.lease(force=len(admitted) + j < min_rounds)
-                for j in range(wave)
-            ]
-            seeds = [int(master.integers(0, 2**63 - 1)) for _ in range(wave)]
-            outcomes = self.run_rounds(seeds)
-            for lease, (round_estimate, stats) in zip(leases, outcomes):
-                if budget.exhausted and len(admitted) >= min_rounds:
+        try:
+            while True:
+                if max_rounds is not None and fold.count >= max_rounds:
+                    fold.stop_reason = "max_rounds"
+                    break
+                forced_left = max(0, min_rounds - fold.count)
+                if budget.exhausted and not forced_left:
+                    fold.stop_reason = "budget"
+                    break
+                # On an exhausted ledger only the forced remainder may run.
+                wave = forced_left if budget.exhausted else wave_size
+                if max_rounds is not None:
+                    wave = min(wave, max_rounds - fold.count)
+                # Leases issued in round order up front, one per wave slot;
+                # seeds come from the same master stream in the same order,
+                # so round i's seed never depends on the wave partitioning.
+                leases = [
+                    budget.lease(force=fold.count + j < min_rounds)
+                    for j in range(wave)
+                ]
+                seeds = [
+                    int(master.integers(0, 2**63 - 1)) for _ in range(wave)
+                ]
+                outcomes = self.run_rounds(seeds)
+                for lease, (round_estimate, stats) in zip(leases, outcomes):
+                    if budget.exhausted and fold.count >= min_rounds:
+                        budget.cancel(lease)
+                        self.speculative_rounds += 1
+                        continue
+                    charge = round_estimate.cost
+                    if cost_scale != 1:
+                        charge = charge * cost_scale
+                    budget.settle(lease, charge)
+                    fold.add(round_estimate)
+                    reports.append(stats)
+                    yield round_estimate
+            if not fold.count:
+                raise ValueError("the query budget allowed no rounds at all")
+            self.client_stats = _sum_reports(reports)
+        finally:
+            for lease in leases:
+                if lease.open:
                     budget.cancel(lease)
-                    self.speculative_rounds += 1
-                    continue
-                charge = round_estimate.cost
-                if cost_scale != 1:
-                    charge = charge * cost_scale
-                budget.settle(lease, charge)
-                admitted.append(round_estimate)
-                reports.append(stats)
-        if not admitted:
-            raise ValueError("the query budget allowed no rounds at all")
-        self.client_stats = _sum_reports(reports)
-        return self._merge(admitted, stop_reason=stop_reason)
 
-    def _merge(self, per_round: List["object"], stop_reason: str) -> "object":
-        statistic = self.statistic
-        dims = per_round[0].values.shape[0]
-        if statistic is None:
-            template = self.factory(0)
-            statistic = template._statistic
-        return merge_rounds(per_round, statistic, dims, stop_reason=stop_reason)
+    def _fold(self) -> _RoundFold:
+        return _RoundFold(self.statistic or self.factory(0)._statistic)
 
 
 def _contiguous_chunks(seeds: List[int], workers: int):

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.budget import QueryBudget, as_budget
 from repro.core.divide_conquer import TreeEstimate, estimate_tree_plan
 from repro.core.drilldown import Probe, Walker, drive_plan
+from repro.core.engine import ParallelSession, _RoundFold
 from repro.core.partition import free_attribute_order, segment_attributes
 from repro.core.weights import UniformWeights, WeightStore
 from repro.hidden_db.counters import HiddenDBClient
@@ -314,8 +315,6 @@ class _DrillDownEstimator:
         RNG stream) against the shared table; see the engine module for the
         determinism contract.
         """
-        from repro.core.engine import ParallelSession
-
         return ParallelSession(
             factory=_RoundFactory(self),
             workers=workers,
@@ -404,64 +403,21 @@ class _DrillDownEstimator:
             raise ValueError("specify rounds and/or query_budget")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1:
-            with self.parallel_session(
-                workers,
-                seed=int(self.rng.integers(0, 2**63 - 1)),
-                executor=executor,
-            ) as session:
-                if query_budget is not None:
-                    result = session.run_budgeted(
-                        query_budget, max_rounds=rounds
-                    )
-                    if result.stop_reason == "max_rounds":
-                        # Same vocabulary as the sequential path: an
-                        # explicit round count stopping the session reads
-                        # "rounds" whatever the worker count.
-                        result.stop_reason = "rounds"
-                    return result
-                return session.run(rounds)
+        fold = _RoundFold(self._statistic, self._dims)
         budget = as_budget(query_budget)
-        start_cost = self.client.cost
-        vector_sum = np.zeros(self._dims)
-        per_round: List[RoundEstimate] = []
-        scalars: List[float] = []
-        trajectory = StreamingMeanSeries()
-        stalled = 0
-        stop_reason = None
-        while True:
-            if rounds is not None and len(per_round) >= rounds:
-                stop_reason = "rounds"
-                break
-            if budget.exhausted:
-                stop_reason = "budget"
-                break
-            if rounds is None and stalled >= stall_rounds:
-                stop_reason = "stalled"
-                break
-            lease = budget.lease()
-            cost_before = self.client.cost
-            try:
-                round_estimate = self.run_once()
-            except QueryLimitExceeded:
-                # The aborted round's partial charges still hit the server;
-                # settle them so the ledger matches the counter.
-                budget.settle(lease, self.client.cost - cost_before)
-                if per_round:
-                    stop_reason = "hard_limit"
-                    break
-                raise
-            budget.settle(lease, round_estimate.cost)
-            stalled = stalled + 1 if round_estimate.cost == 0 else 0
-            per_round.append(round_estimate)
-            vector_sum += round_estimate.values
-            running = self._statistic(vector_sum / len(per_round))
-            scalars.append(self._statistic(round_estimate.values))
-            trajectory.append(self.client.cost - start_cost, running)
-        if not per_round:
-            raise ValueError("the query budget allowed no rounds at all")
-        return self._assemble(per_round, scalars, vector_sum, trajectory,
-                              start_cost, stop_reason)
+        if workers > 1:
+            # Without a budget one wave holds every round: a cohort
+            # holding many rounds fuses more probes per level.
+            wave_size = rounds if query_budget is None else None
+            rounds_loop = self._engine_rounds(
+                fold, budget, rounds, workers, executor, wave_size
+            )
+        else:
+            stall = stall_rounds if rounds is None else None
+            rounds_loop = self._rounds(fold, budget, rounds, stall)
+        for _ in rounds_loop:
+            pass
+        return fold.result()
 
     def run_until(
         self,
@@ -481,81 +437,124 @@ class _DrillDownEstimator:
         fired ("precision", "budget", "max_rounds", "stalled" or
         "hard_limit").
         """
+        fold = _RoundFold(self._statistic, self._dims)
+        for _ in self._until_rounds(
+            fold, target_relative_halfwidth, confidence_z, min_rounds,
+            max_rounds, query_budget, stall_rounds,
+        ):
+            pass
+        return fold.result()
+
+    def _until_rounds(
+        self,
+        fold: _RoundFold,
+        target_relative_halfwidth: float,
+        confidence_z: float = 1.96,
+        min_rounds: int = 5,
+        max_rounds: int = 10_000,
+        query_budget: Union[None, int, QueryBudget] = None,
+        stall_rounds: int = 50,
+    ):
+        """:meth:`run_until`'s round loop with its defaults, for a caller
+        that iterates it round by round (the precision stream)."""
         if target_relative_halfwidth <= 0:
             raise ValueError("target_relative_halfwidth must be positive")
         if min_rounds < 2:
             raise ValueError("min_rounds must be at least 2 (SE needs it)")
         budget = as_budget(query_budget)
-        start_cost = self.client.cost
-        vector_sum = np.zeros(self._dims)
-        per_round: List[RoundEstimate] = []
-        scalars: List[float] = []
-        trajectory = StreamingMeanSeries()
-        stats = RunningStats()
-        stalled = 0
-        stop_reason = "max_rounds"
-        while len(per_round) < max_rounds:
-            if budget.exhausted:
-                stop_reason = "budget"
-                break
-            if budget.total is not None and stalled >= stall_rounds:
-                # Zero-cost (fully cached) rounds never consume the budget;
-                # without the guard a budget-bounded session would spin to
-                # max_rounds extracting nothing new from the server.
-                stop_reason = "stalled"
-                break
-            lease = budget.lease()
-            cost_before = self.client.cost
-            try:
-                round_estimate = self.run_once()
-            except QueryLimitExceeded:
-                budget.settle(lease, self.client.cost - cost_before)
-                if per_round:
-                    stop_reason = "hard_limit"
-                    break
-                raise
-            budget.settle(lease, round_estimate.cost)
-            stalled = stalled + 1 if round_estimate.cost == 0 else 0
-            per_round.append(round_estimate)
-            vector_sum += round_estimate.values
-            scalar = self._statistic(round_estimate.values)
-            scalars.append(scalar)
-            stats.add(scalar)
-            running = self._statistic(vector_sum / len(per_round))
-            trajectory.append(self.client.cost - start_cost, running)
-            if len(per_round) >= min_rounds and running != 0:
-                halfwidth = confidence_z * stats.std_error
-                if halfwidth <= target_relative_halfwidth * abs(running):
-                    stop_reason = "precision"
-                    break
-        if not per_round:
-            raise ValueError("the query budget allowed no rounds at all")
-        return self._assemble(per_round, scalars, vector_sum, trajectory,
-                              start_cost, stop_reason)
-
-    def _assemble(
-        self,
-        per_round: List[RoundEstimate],
-        scalars: List[float],
-        vector_sum: np.ndarray,
-        trajectory: StreamingMeanSeries,
-        start_cost: int,
-        stop_reason: Optional[str] = None,
-    ) -> EstimationResult:
-        stats = RunningStats()
-        stats.extend(scalars)
-        mean = self._statistic(vector_sum / len(per_round))
-        return EstimationResult(
-            estimates=scalars,
-            mean=mean,
-            std_error=stats.std_error,
-            ci95=stats.confidence_interval(),
-            total_cost=self.client.cost - start_cost,
-            rounds=len(per_round),
-            trajectory=trajectory,
-            raw_rounds=per_round,
-            stop_reason=stop_reason,
+        return self._rounds(
+            fold, budget, max_rounds,
+            # Zero-cost (fully cached) rounds never consume the budget;
+            # without the guard a budget-bounded session would spin to
+            # max_rounds extracting nothing new from the server.
+            stall_rounds=stall_rounds if budget.total is not None else None,
+            precision=(target_relative_halfwidth, confidence_z, min_rounds),
         )
+
+    def _rounds(
+        self,
+        fold: _RoundFold,
+        budget: QueryBudget,
+        max_rounds: Optional[int],
+        stall_rounds: Optional[int] = None,
+        precision: Optional[Tuple[float, float, int]] = None,
+    ):
+        """The sequential cost model's round loop: every round runs on
+        this estimator's one client, sharing its cache and pilot weights.
+
+        Each round is leased from *budget*, run, settled, folded into
+        *fold* and yielded.  The loop records why it stopped in
+        ``fold.stop_reason``: the round cap ("rounds", or "max_rounds"
+        under a *precision* rule), the budget, *stall_rounds* zero-cost
+        rounds in a row ("stalled"), a server hard limit once a round is
+        in ("hard_limit"), or, for *precision* = ``(target, z,
+        min_rounds)``, ``z * SE <= target * |mean|`` ("precision").
+        """
+        lease = None
+        stalled = 0
+        try:
+            while True:
+                if max_rounds is not None and fold.count >= max_rounds:
+                    fold.stop_reason = (
+                        "rounds" if precision is None else "max_rounds"
+                    )
+                    break
+                if budget.exhausted:
+                    fold.stop_reason = "budget"
+                    break
+                if stall_rounds is not None and stalled >= stall_rounds:
+                    fold.stop_reason = "stalled"
+                    break
+                lease = budget.lease()
+                cost_before = self.client.cost
+                try:
+                    round_estimate = self.run_once()
+                except QueryLimitExceeded:
+                    # The aborted round's partial charges still hit the
+                    # server; settle them so the ledger matches the counter.
+                    aborted_cost = self.client.cost - cost_before
+                    budget.settle(lease, aborted_cost)
+                    if fold.count:
+                        fold.charge(aborted_cost)
+                        fold.stop_reason = "hard_limit"
+                        break
+                    raise
+                budget.settle(lease, round_estimate.cost)
+                stalled = stalled + 1 if round_estimate.cost == 0 else 0
+                fold.add(round_estimate)
+                yield round_estimate
+                if precision is not None:
+                    target, z, min_rounds = precision
+                    running = fold.running
+                    if fold.count >= min_rounds and running != 0:
+                        if z * fold.stats.std_error <= target * abs(running):
+                            fold.stop_reason = "precision"
+                            break
+            if not fold.count:
+                raise ValueError("the query budget allowed no rounds at all")
+        finally:
+            if lease is not None and lease.open:
+                budget.cancel(lease)
+
+    def _engine_rounds(
+        self,
+        fold: _RoundFold,
+        budget: QueryBudget,
+        rounds: Optional[int],
+        workers: int,
+        executor: str = "thread",
+        wave_size: Optional[int] = None,
+    ):
+        """The engine cost model's round loop: one draw from this
+        estimator's RNG seeds the session whose waves it iterates; a round
+        cap stopping it reads "rounds", as in :meth:`_rounds`."""
+        seed = int(self.rng.integers(0, 2**63 - 1))
+        with self.parallel_session(workers, seed, executor) as session:
+            yield from session._waves(
+                fold, budget, rounds, wave_size=wave_size
+            )
+        if fold.stop_reason == "max_rounds":
+            fold.stop_reason = "rounds"
 
 
 class HDUnbiasedSize(_DrillDownEstimator):

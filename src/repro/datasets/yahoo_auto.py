@@ -30,7 +30,7 @@ it; the properties above are the ones its experiments depend on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -155,7 +155,6 @@ def _zipf_probs(size: int, s: float, rng: np.random.Generator, shuffle: bool) ->
 
 def yahoo_auto_schema() -> Schema:
     """The 38-attribute searchable schema plus PRICE/MILEAGE/YEAR measures."""
-    make_models: List[Tuple[str, ...]] = []
     attributes = [
         Attribute("MAKE", 16, labels=MAKES),
         # MODEL labels are slot names; resolve make-specific labels with
@@ -167,7 +166,6 @@ def yahoo_auto_schema() -> Schema:
         Attribute("DOORS", 5, labels=DOOR_LABELS),
     ]
     attributes.extend(Attribute(name, 2) for name in OPTION_NAMES)
-    del make_models
     return Schema(attributes, measure_names=("PRICE", "MILEAGE", "YEAR"))
 
 
@@ -307,7 +305,6 @@ def yahoo_auto(
         p=np.array([2, 3, 4, 6, 8, 10, 12, 15, 20, 20], dtype=float) / 100.0,
     ).astype(float)
     age = 2007.0 - year
-    model_factor = 0.75 + 0.5 * (np.argsort(np.argsort(model)) % 16) / 15.0
     price = (
         _MAKE_BASE_PRICE[make]
         * (0.8 + 0.05 * model)
@@ -315,7 +312,6 @@ def yahoo_auto(
         * (0.93**age)
         * np.exp(rng.normal(0.0, 0.18, size=m))
     )
-    del model_factor
     mileage = np.clip(
         rng.lognormal(mean=0.0, sigma=0.5, size=m) * (8000.0 + 11000.0 * age),
         500.0,

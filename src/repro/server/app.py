@@ -58,6 +58,10 @@ __all__ = ["ServerConfig", "EstimationServer", "BackgroundServer"]
 
 _HTTP_METHODS = (b"GET ", b"POST ", b"PUT ", b"DELETE ", b"HEAD ", b"OPTIONS ")
 
+#: The answer to a line over ``max_line_bytes``, after which the
+#: connection closes: a framed stream cannot resync past such a line.
+_LINE_TOO_LONG = {"status": "error", "error": "line exceeds max_line_bytes"}
+
 _HTTP_REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
@@ -235,7 +239,15 @@ class EstimationServer:
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            first = await self._read_line(reader)
+            try:
+                first = await self._read_line(reader)
+            except ValueError:
+                # Over-long first lines, line-JSON or HTTP, get the answer
+                # a later over-long line gets.
+                answer = json.dumps(_LINE_TOO_LONG, sort_keys=True) + "\n"
+                writer.write(answer.encode("utf-8"))
+                await writer.drain()
+                return
             if first is _IDLE or not first:
                 return
             if self.config.http and first.startswith(_HTTP_METHODS):
@@ -293,12 +305,7 @@ class EstimationServer:
                 try:
                     line = await self._read_line(reader)
                 except ValueError:
-                    # Line over max_line_bytes: cannot resync a framed
-                    # stream past an unbounded line — tell and close.
-                    outbox.put_nowait({
-                        "status": "error",
-                        "error": "line exceeds max_line_bytes",
-                    })
+                    outbox.put_nowait(_LINE_TOO_LONG)
                     break
                 if line is _IDLE:
                     self._counters["idle_closed"] += 1

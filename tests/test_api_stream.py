@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.api import (
+    AggregateSpec,
     ChurnSpec,
     DatasetSpec,
     Estimation,
@@ -74,6 +75,108 @@ class TestWorkerInvariance:
             pass
         report = Estimation(budgeted_spec(4)).run()
         assert strip_spec(stream.result) == strip_spec(report)
+
+
+def cost_model_spec(
+    dataset="iid", m=500, k=20, kind="size", measure=None, churn=None,
+    federation=None, method=None, **regime,
+):
+    if federation is not None:
+        target = TargetSpec(federation=federation, k=k)
+    else:
+        target = TargetSpec(
+            dataset=DatasetSpec(name=dataset, m=m, seed=3), k=k, churn=churn
+        )
+    return EstimationSpec(
+        target=target,
+        aggregate=AggregateSpec(kind=kind, measure=measure),
+        regime=RegimeSpec(**regime),
+        method=method or MethodSpec(),
+    )
+
+
+PRICE = dict(dataset="yahoo", m=3000, k=50, measure="PRICE")
+
+#: Specs whose stream runs the cost model their run() runs.
+SAME_COST_MODEL = {
+    "static_w2": cost_model_spec(rounds=6, seed=5, workers=2),
+    "static_w3": cost_model_spec(rounds=5, seed=5, workers=3),
+    "budgeted_w2": cost_model_spec(query_budget=300, seed=5, workers=2),
+    "budgeted_w3": cost_model_spec(query_budget=300, seed=5, workers=3),
+    "budgeted_capped_w3": cost_model_spec(
+        query_budget=10_000, rounds=6, seed=4, workers=3
+    ),
+    "precision_size": cost_model_spec(target_precision=0.2, seed=5),
+    "precision_size_budget": cost_model_spec(
+        target_precision=0.01, query_budget=250, seed=5
+    ),
+    "precision_capped": cost_model_spec(
+        target_precision=0.001, rounds=8, seed=5
+    ),
+    "precision_sum": cost_model_spec(
+        kind="sum", target_precision=0.2, seed=2, **PRICE
+    ),
+    "precision_sum_budget": cost_model_spec(
+        kind="sum", target_precision=0.01, query_budget=400, seed=2, **PRICE
+    ),
+    "avg_w2": cost_model_spec(
+        kind="avg", query_budget=400, seed=2, workers=2, **PRICE
+    ),
+    "avg_precision": cost_model_spec(
+        kind="avg", target_precision=0.1, seed=2, **PRICE
+    ),
+    "tracking_reissue": cost_model_spec(
+        k=25, churn=ChurnSpec(epochs=3, rate=0.1), rounds=8, seed=2,
+        method=MethodSpec(reissue_per_epoch=3),
+    ),
+    "tracking_restart": cost_model_spec(
+        k=25, churn=ChurnSpec(epochs=3, rate=0.1), rounds=6, seed=2,
+        workers=2, method=MethodSpec(policy="restart"),
+    ),
+    "federated": cost_model_spec(
+        federation=FederationSpec(sources=2, base_m=250, seed=7), k=16,
+        query_budget=400, seed=7,
+        method=MethodSpec(policy="uniform", pilot_rounds=2),
+    ),
+}
+
+
+class TestCostModels:
+    """``stream()`` iterates the round loop ``run()`` drains, so its
+    result is ``run()``'s report byte for byte — except for a static or
+    budgeted spec at ``workers=1``, where ``run()`` shares one client
+    across rounds while the stream, as at every worker count, gives each
+    round a fresh one.
+    """
+
+    @pytest.mark.parametrize("name", sorted(SAME_COST_MODEL))
+    def test_stream_result_is_the_run_report(self, name):
+        spec = SAME_COST_MODEL[name]
+        stream = Estimation(spec).stream()
+        snapshots = list(stream)
+        assert snapshots and not stream.result.partial
+        assert stream.result.to_json() == Estimation(spec).run().to_json()
+
+    @pytest.mark.parametrize("regime", [
+        dict(rounds=6),
+        dict(query_budget=300),
+        dict(query_budget=10_000, rounds=6),
+    ], ids=["static", "budgeted", "budgeted_capped"])
+    def test_workers_1_stream_is_the_engine_cost_model(self, regime):
+        sequential = cost_model_spec(seed=5, workers=1, **regime)
+        engine = cost_model_spec(seed=5, workers=2, **regime)
+        stream = Estimation(sequential).stream()
+        list(stream)
+        assert strip_spec(stream.result) == strip_spec(
+            Estimation(engine).run()
+        )
+        # run() at workers=1 shares one client's cache across rounds, so
+        # each of its rounds charges fewer queries than a fresh client's.
+        shared = Estimation(sequential).run()
+        assert (
+            shared.total_queries / shared.rounds
+            < stream.result.total_queries / stream.result.rounds
+        )
 
 
 class TestSnapshotShape:

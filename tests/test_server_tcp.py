@@ -360,6 +360,25 @@ class TestHttpBridge:
         assert status == 400
         assert "max_line_bytes" in payload["error"]
 
+    @pytest.mark.parametrize("first_line", [
+        b'{"op": "metrics", "pad": "' + b"a" * 5000 + b'"}\n',
+        b"GET /metrics?pad=" + b"a" * 5000 + b" HTTP/1.1\r\n\r\n",
+    ], ids=["line_json", "http_request_line"])
+    def test_first_line_over_max_line_bytes_is_answered(self, first_line):
+        """An over-long *first* line gets the structured error a later
+        over-long line gets (not an empty reply), and the server keeps
+        serving the next connection."""
+        with running_server(http=True, max_line_bytes=4096) as bg:
+            with socket.create_connection(bg.address, timeout=10) as sock:
+                sock.sendall(first_line)
+                reply = sock.makefile("rb").read()  # to EOF: it closes
+            assert json.loads(reply) == {
+                "status": "error", "error": "line exceeds max_line_bytes",
+            }
+            with connected(bg) as client:
+                client.send({"op": "metrics", "id": "next"})
+                assert client.recv()["id"] == "next"
+
     def test_short_body_times_out_with_a_408(self):
         with running_server(http=True, idle_timeout=0.5) as bg:
             started = time.time()

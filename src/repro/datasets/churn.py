@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.hidden_db.schema import key_shifts, row_keys
 from repro.hidden_db.table import HiddenTable
 from repro.hidden_db.versioning import TableDelta
 from repro.utils.rng import RandomSource, spawn_rng
@@ -39,6 +40,13 @@ _MAX_SAMPLING_ATTEMPTS = 200
 
 class ChurnGenerator:
     """Seeded per-epoch mutation workload over one table (family).
+
+    The generator tracks the live tuples by their row keys
+    (:func:`~repro.hidden_db.schema.row_keys`, one int per tuple), never by
+    rows: deletes drop their keys in bulk, an insert candidate is accepted
+    when its key is neither live nor taken earlier in its batch, and a
+    modification's candidate key is the old key plus the changed field
+    (:func:`~repro.hidden_db.schema.key_shifts`).
 
     Parameters
     ----------
@@ -84,14 +92,18 @@ class ChurnGenerator:
         self.measure_jitter = float(measure_jitter)
         self.rng = spawn_rng(seed)
         self.epochs_generated = 0
-        # Live-tuple identity set (tuples are unique by attribute values in
-        # the paper's model); kept in sync so sampled inserts/modifications
-        # never create duplicates.
-        self._live_tuples = {
-            tuple(int(v) for v in row) for row in np.asarray(table.data)
-        }
+        self._fanouts = table.schema.fanouts()
+        self._shifts = key_shifts(self._fanouts)
+        # Live-tuple identity set: the row key of every live tuple (tuples
+        # are unique by attribute values in the paper's model).  Kept in
+        # sync so sampled inserts/modifications never create duplicates.
+        self._live_keys = set(self._keys(table.data))
 
     # -- sampling ---------------------------------------------------------
+
+    def _keys(self, rows: np.ndarray) -> list:
+        """Row keys (Python ints) of attribute rows."""
+        return row_keys(rows, self._fanouts).tolist()
 
     def _live_ids(self) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.table.alive_mask)).astype(np.int64)
@@ -110,10 +122,10 @@ class ChurnGenerator:
         n = len(schema)
         if count <= 0:
             return np.empty((0, n), dtype=np.int64)
-        rows: List[tuple] = []
+        accepted: List[np.ndarray] = []
         # Accepted candidates join the identity set directly — epoch()
         # relies on it being current when the batch is applied.
-        taken = self._live_tuples
+        taken = self._live_keys
         live_matrix = (
             self._data_at(live_ids) if live_ids.size else None
         )
@@ -131,15 +143,14 @@ class ChurnGenerator:
                     self.rng.integers(0, schema[j].domain_size, size=remaining)
                     for j in range(n)
                 ])
-            for row in batch:
-                candidate = tuple(int(v) for v in row)
-                if candidate not in taken:
-                    taken.add(candidate)
-                    rows.append(candidate)
-            remaining = count - len(rows)
-        if not rows:
-            return np.empty((0, n), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64)
+            fresh = []
+            for i, key in enumerate(self._keys(batch)):
+                if key not in taken:
+                    taken.add(key)
+                    fresh.append(i)
+            accepted.append(batch[fresh])
+            remaining -= len(fresh)
+        return np.concatenate(accepted, axis=0)
 
     def _data_at(self, physical_ids: np.ndarray) -> np.ndarray:
         """Attribute rows of the given physical ids (int64 matrix).
@@ -168,29 +179,28 @@ class ChurnGenerator:
             measures[name] = base * jitter
         return measures
 
-    def _sample_modifications(
-        self, ids: np.ndarray, taken_out: set
-    ) -> Dict[int, Dict[int, int]]:
+    def _sample_modifications(self, ids: np.ndarray) -> Dict[int, Dict[int, int]]:
         """One-attribute patches that keep the live population duplicate-free."""
-        schema = self.table.schema
-        n = len(schema)
+        taken = self._live_keys
+        fanouts = self._fanouts
+        shifts = self._shifts
+        n = len(fanouts)
+        rows = self._data_at(ids)
         patches: Dict[int, Dict[int, int]] = {}
-        for row_id in ids:
-            old = self.table.row_values(int(row_id))
+        for row_id, old, old_key in zip(
+            ids.tolist(), rows.tolist(), self._keys(rows)
+        ):
             for _attempt in range(_MAX_SAMPLING_ATTEMPTS):
                 attr = int(self.rng.integers(0, n))
-                domain = schema[attr].domain_size
-                if domain < 2:
-                    continue
-                value = int(self.rng.integers(0, domain))
+                value = int(self.rng.integers(0, fanouts[attr]))
                 if value == old[attr]:
                     continue
-                candidate = old[:attr] + (value,) + old[attr + 1:]
-                if candidate in taken_out:
+                candidate = old_key + ((value - old[attr]) << shifts[attr])
+                if candidate in taken:
                     continue
-                taken_out.discard(old)
-                taken_out.add(candidate)
-                patches[int(row_id)] = {attr: value}
+                taken.discard(old_key)
+                taken.add(candidate)
+                patches[row_id] = {attr: value}
                 break
         return patches
 
@@ -228,9 +238,8 @@ class ChurnGenerator:
 
         # Deleted tuples leave the identity set before inserts are drawn,
         # so an insert may legitimately resurrect a just-deleted tuple.
-        for row_id in delete_ids:
-            self._live_tuples.discard(self.table.row_values(int(row_id)))
-        modifications = self._sample_modifications(modify_ids, self._live_tuples)
+        self._live_keys.difference_update(self._keys(self._data_at(delete_ids)))
+        modifications = self._sample_modifications(modify_ids)
         inserts = self._sample_insert_rows(n_insert, survivors)
         insert_measures = self._sample_insert_measures(
             inserts.shape[0], survivors

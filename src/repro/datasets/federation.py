@@ -27,7 +27,7 @@ import numpy as np
 from repro.datasets.churn import ChurnGenerator
 from repro.datasets.synthetic import boolean_table
 from repro.federation.target import FederatedSource, FederatedTarget
-from repro.hidden_db.schema import Attribute, Schema
+from repro.hidden_db.schema import Attribute, Schema, row_keys
 from repro.hidden_db.table import HiddenTable
 from repro.utils.rng import RandomSource, spawn_rng
 
@@ -71,7 +71,8 @@ def _overlap_universe(
     # Oversample then dedup: the p=0.5 universe is sparse enough that a
     # modest oversample always survives deduplication at fixture scales.
     raw = (rng.random((rows * 2 + 64, n_attrs)) < 0.5).astype(np.int8)
-    unique = np.unique(raw, axis=0)
+    _, first = np.unique(row_keys(raw, [2] * n_attrs), return_index=True)
+    unique = raw[first]  # the distinct rows, sorted lexicographically
     if unique.shape[0] < rows:
         raise ValueError(
             f"cannot build a {rows}-row shared universe over {n_attrs} "
@@ -201,9 +202,13 @@ def _overlapping_table(
     )
     private_rows = private._data
     if n_shared:
-        keys = {row.tobytes() for row in picked}
+        # A set, not np.isin: past 64 bits the keys are Python ints, which
+        # np.isin compares one shared row at a time.
+        fanouts = [2] * private_rows.shape[1]
+        shared = set(row_keys(picked, fanouts).tolist())
         keep = np.array(
-            [row.tobytes() not in keys for row in private_rows], dtype=bool
+            [key not in shared for key in row_keys(private_rows, fanouts).tolist()],
+            dtype=bool,
         )
         private_rows = private_rows[keep][: m - n_shared]
         if private_rows.shape[0] < m - n_shared:

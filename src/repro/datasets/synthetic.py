@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hidden_db.schema import Attribute, Schema
+from repro.hidden_db.schema import Attribute, Schema, row_keys
 from repro.hidden_db.table import HiddenTable
 from repro.utils.rng import RandomSource, spawn_rng
 
@@ -71,22 +71,26 @@ def boolean_table(
             f"cannot draw {m} distinct tuples from a space of 2^{free}"
         )
 
+    schema = Schema(
+        [Attribute(f"A{i+1}", 2) for i in range(n)],
+        measure_names=("VALUE",),
+    )
+    fanouts = schema.fanouts()
     data = (rng.random((m, n)) < probs).astype(np.int8)
+    keys = row_keys(data, fanouts)
     for _ in range(_MAX_DEDUP_ROUNDS):
-        _, first_idx = np.unique(data, axis=0, return_index=True)
+        _, first_idx = np.unique(keys, return_index=True)
         if first_idx.size == m:
             break
         dup_mask = np.ones(m, dtype=bool)
         dup_mask[first_idx] = False
         n_dups = int(dup_mask.sum())
-        data[dup_mask] = (rng.random((n_dups, n)) < probs).astype(np.int8)
+        fresh = (rng.random((n_dups, n)) < probs).astype(np.int8)
+        data[dup_mask] = fresh
+        keys[dup_mask] = row_keys(fresh, fanouts)
     else:
         raise ValueError("deduplication did not converge; space too dense")
 
-    schema = Schema(
-        [Attribute(f"A{i+1}", 2) for i in range(n)],
-        measure_names=("VALUE",),
-    )
     value_rng = spawn_rng(int(rng.integers(2**31)) + measure_seed_offset)
     # Positive, mildly skewed measure; SUM experiments aggregate it.
     value = value_rng.lognormal(mean=3.0, sigma=0.5, size=m)

@@ -34,7 +34,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.hidden_db.schema import Attribute, Schema
+from repro.hidden_db.schema import Attribute, Schema, row_keys
 from repro.hidden_db.table import HiddenTable
 from repro.utils.rng import RandomSource, spawn_rng
 
@@ -282,9 +282,11 @@ def yahoo_auto(
         trim = tier / 3.0
         return data, trim
 
+    fanouts = schema.fanouts()
     data, trim = draw_rows(m)
+    keys = row_keys(data, fanouts)
     for _ in range(_MAX_DEDUP_ROUNDS):
-        _, first_idx = np.unique(data, axis=0, return_index=True)
+        _, first_idx = np.unique(keys, return_index=True)
         if first_idx.size == m:
             break
         dup_mask = np.ones(m, dtype=bool)
@@ -293,6 +295,7 @@ def yahoo_auto(
         fresh, fresh_trim = draw_rows(n_dups)
         data[dup_mask] = fresh
         trim[dup_mask] = fresh_trim
+        keys[dup_mask] = row_keys(fresh, fanouts)
     else:
         raise ValueError("yahoo_auto deduplication did not converge")
 

@@ -358,8 +358,8 @@ class HiddenDBClient:
     def __getstate__(self):
         """Pickle with an empty result cache.
 
-        Cached pages are lazy (their materialisers close over the
-        interface) and unpicklable; a pickled client starts cold.  That is
+        Cached pages are lazy (each holds the interface, and through it
+        the table), so a pickled client starts cold.  That is
         exactly the parallel-round contract anyway — worker rounds never
         reuse the template client's cache.
         """

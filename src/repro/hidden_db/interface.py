@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class QueryResult:
 
     The page's *classification* (outcome, number of displayed tuples) is
     always available immediately; the displayed tuples themselves can be
-    **lazy** — built on first access from a deterministic materialiser.
+    **lazy** — built on first access from the page's source.
     Estimator hot loops mostly classify pages (underflow? valid? how many
     rows?), so skipping :class:`ReturnedTuple` construction until someone
     actually reads the rows removes the dominant allocation cost of a
@@ -72,7 +72,7 @@ class QueryResult:
     ranking), so a lazy page is indistinguishable from an eager one.
     """
 
-    __slots__ = ("outcome", "_tuples", "_num_returned", "_materialize")
+    __slots__ = ("outcome", "_tuples", "_num_returned", "_page")
 
     def __init__(
         self,
@@ -80,13 +80,13 @@ class QueryResult:
         tuples: Optional[Tuple[ReturnedTuple, ...]] = None,
         *,
         num_returned: Optional[int] = None,
-        materializer: Optional[Callable[[], Tuple[ReturnedTuple, ...]]] = None,
+        page: Optional["_LazyPage"] = None,
     ) -> None:
-        if tuples is None and materializer is None:
-            raise ValueError("QueryResult needs tuples or a materializer")
+        if tuples is None and page is None:
+            raise ValueError("QueryResult needs tuples or a page")
         self.outcome = outcome
         self._tuples = tuples
-        self._materialize = materializer
+        self._page = page
         if num_returned is not None:
             self._num_returned = int(num_returned)
         elif tuples is not None:
@@ -98,8 +98,8 @@ class QueryResult:
     def tuples(self) -> Tuple[ReturnedTuple, ...]:
         """The displayed tuples (materialised on first access)."""
         if self._tuples is None:
-            self._tuples = tuple(self._materialize())
-            self._materialize = None
+            self._tuples = self._page.tuples()
+            self._page = None
         return self._tuples
 
     @property
@@ -128,8 +128,16 @@ class QueryResult:
         return self._num_returned
 
     def sum_measure(self, name: str) -> float:
-        """Sum of measure *name* over the displayed tuples."""
-        return sum(t.measures[name] for t in self.tuples)
+        """Sum of measure *name* over the displayed tuples.
+
+        A page not yet materialised sums the measure column over its shown
+        rows and stays lazy: builtin ``sum`` over the same floats, in the
+        same order, as the tuples would give, so the result is the same to
+        the bit either way.
+        """
+        if self._tuples is None:
+            return self._page.measure_sum(name)
+        return sum(t.measures[name] for t in self._tuples)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QueryResult):
@@ -145,6 +153,60 @@ class QueryResult:
             f"QueryResult({self.outcome.value}, returned={self._num_returned}, "
             f"tuples={shown})"
         )
+
+
+class _LazyPage:
+    """The rows behind a classified page, read from the table on demand.
+
+    Holds what the form knew when it classified the page: the query, the
+    outcome and the table version.  The page was classified at that
+    version; re-deriving it after the table has mutated would silently mix
+    epochs, so reading it then raises :class:`StaleResultError`.
+    """
+
+    __slots__ = ("interface", "query", "outcome", "version")
+
+    def __init__(
+        self,
+        interface: "TopKInterface",
+        query: ConjunctiveQuery,
+        outcome: QueryOutcome,
+        version: int,
+    ) -> None:
+        self.interface = interface
+        self.query = query
+        self.outcome = outcome
+        self.version = version
+
+    def shown_ids(self) -> np.ndarray:
+        """Physical ids of the displayed rows, in display order."""
+        interface = self.interface
+        if interface.version != self.version:
+            raise StaleResultError(
+                f"page classified at table version {self.version} materialised "
+                f"at version {interface.version}; re-issue the query"
+            )
+        table = interface.table
+        ids = table.selection_ids(self.query)
+        if self.outcome is QueryOutcome.VALID:
+            return np.sort(ids)
+        return interface.ranking.order(ids, table)[: interface.k]
+
+    def tuples(self) -> Tuple[ReturnedTuple, ...]:
+        """The displayed tuples, built one per shown row."""
+        table = self.interface.table
+        return tuple(
+            ReturnedTuple(
+                values=table.row_values(rid),
+                measures=table.row_measures(rid),
+            )
+            for rid in self.shown_ids().tolist()
+        )
+
+    def measure_sum(self, name: str) -> float:
+        """Sum of measure *name* over the shown rows, in display order."""
+        shown = self.shown_ids()
+        return sum(self.interface.table.measure_physical(name)[shown].tolist())
 
 
 #: The one empty page (see ``TopKInterface._classified``).
@@ -216,7 +278,7 @@ class TopKInterface:
         else:
             # Eager consumers materialise right below; going through
             # selection_ids once lets the backend's id cache serve the
-            # materialiser instead of evaluating the conjunction twice.
+            # page instead of evaluating the conjunction twice.
             total = int(backend.selection_ids(q).size)
         result = self._classified(q, total)
         if not count_only:
@@ -237,11 +299,10 @@ class TopKInterface:
         else:
             outcome = QueryOutcome.OVERFLOW
             num_returned = self.k
-        version = self.version
         return QueryResult(
             outcome,
             num_returned=num_returned,
-            materializer=lambda: self._materialize_page(q, outcome, version),
+            page=_LazyPage(self, q, outcome, self.version),
         )
 
     def classify_many(
@@ -298,32 +359,6 @@ class TopKInterface:
             for result in results:
                 _ = result.tuples
         return results
-
-    def _materialize_page(
-        self, q: ConjunctiveQuery, outcome: QueryOutcome, version: int
-    ) -> Tuple[ReturnedTuple, ...]:
-        """Build the displayed tuples of an already-classified page.
-
-        The page was classified at *version*; re-deriving it after the
-        table has mutated would silently mix epochs, so it is refused.
-        """
-        if self.version != version:
-            raise StaleResultError(
-                f"page classified at table version {version} materialised "
-                f"at version {self.version}; re-issue the query"
-            )
-        ids = self.table.selection_ids(q)
-        if outcome is QueryOutcome.VALID:
-            shown = np.sort(ids)
-        else:
-            shown = self.ranking.order(ids, self.table)[: self.k]
-        return tuple(
-            ReturnedTuple(
-                values=self.table.row_values(int(rid)),
-                measures=self.table.row_measures(int(rid)),
-            )
-            for rid in shown
-        )
 
     def __repr__(self) -> str:
         return f"TopKInterface(k={self.k}, table={self.table!r})"

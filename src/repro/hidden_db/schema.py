@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.hidden_db.exceptions import SchemaError
 
-__all__ = ["Attribute", "Schema"]
+__all__ = ["Attribute", "Schema", "key_shifts", "row_keys"]
 
 
 @dataclass(frozen=True)
@@ -175,3 +177,56 @@ class Schema:
     def __repr__(self) -> str:
         parts = ", ".join(f"{a.name}({a.domain_size})" for a in self._attributes)
         return f"Schema([{parts}], measures={list(self._measure_names)})"
+
+
+# -- row identity -----------------------------------------------------------
+
+
+def key_shifts(fanouts: Sequence[int]) -> Tuple[int, ...]:
+    """Bit offset of each attribute's field in a :func:`row_keys` key.
+
+    Each field is as wide as ``fanout - 1`` needs and the first attribute
+    takes the most significant bits, so a row's key is
+    ``sum(value[j] << shifts[j])``: setting attribute *j* of a row from *a*
+    to *b* adds ``(b - a) << shifts[j]`` to its key.
+    """
+    shifts = []
+    offset = 0
+    for fanout in reversed(fanouts):
+        shifts.append(offset)
+        offset += (int(fanout) - 1).bit_length()
+    return tuple(reversed(shifts))
+
+
+def row_keys(data: np.ndarray, fanouts: Sequence[int]) -> np.ndarray:
+    """One order-preserving integer key per row of *data*.
+
+    The key packs the row's values (each in ``[0, fanout)``) into the bit
+    fields of :func:`key_shifts`.  Equal keys mean equal rows and sorting
+    keys sorts rows lexicographically, so
+    ``np.unique(row_keys(data, fanouts), return_index=True)`` returns the
+    indices ``np.unique(data, axis=0, return_index=True)`` returns, in the
+    same order, for the price of a 1-D sort.  Keys of up to 64 bits come
+    back as ``uint64``; wider keys as an object array of Python ints, which
+    keep the same order and the same arithmetic.
+    """
+    data = np.asarray(data)
+    words = []  # (bits, packed uint64 word), most significant first
+    word = np.zeros(data.shape[0], dtype=np.uint64)
+    bits = 0
+    for j, fanout in enumerate(fanouts):
+        width = (int(fanout) - 1).bit_length()
+        if bits + width > 64:
+            words.append((bits, word))
+            word = np.zeros(data.shape[0], dtype=np.uint64)
+            bits = 0
+        word <<= width
+        word |= data[:, j].astype(np.uint64)
+        bits += width
+    if not words:
+        return word
+    words.append((bits, word))
+    keys = np.zeros(data.shape[0], dtype=object)
+    for bits, word in words:
+        keys = (keys << bits) | word.astype(object)
+    return keys

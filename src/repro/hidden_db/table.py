@@ -42,7 +42,7 @@ from repro.hidden_db.backends import (
 from repro.hidden_db.backends.base import _accepts_alive
 from repro.hidden_db.exceptions import MutationError, SchemaError
 from repro.hidden_db.query import ConjunctiveQuery
-from repro.hidden_db.schema import Schema
+from repro.hidden_db.schema import Schema, row_keys
 from repro.hidden_db.versioning import TableDelta
 
 __all__ = ["HiddenTable"]
@@ -120,8 +120,7 @@ class HiddenTable:
                     f"({data.shape[0]},)"
                 )
         if check_duplicates and data.shape[0]:
-            unique_rows = np.unique(data, axis=0)
-            if unique_rows.shape[0] != data.shape[0]:
+            if np.unique(row_keys(data, schema.fanouts())).size != data.shape[0]:
                 raise SchemaError(
                     "table holds duplicate tuples; the paper's model assumes "
                     "duplicates are removed"
@@ -542,10 +541,9 @@ class HiddenTable:
             parts.append(mod_rows)
         if ins.size:
             parts.append(ins)
-        combined = np.concatenate(
-            [np.asarray(p, dtype=np.int64) for p in parts], axis=0
-        )
-        if combined.shape[0] and np.unique(combined, axis=0).shape[0] != combined.shape[0]:
+        fanouts = self.schema.fanouts()
+        keys = np.concatenate([row_keys(p, fanouts) for p in parts])
+        if np.unique(keys).size != keys.size:
             raise MutationError(
                 "update batch would introduce duplicate tuples (the paper's "
                 "model assumes duplicates are removed)"

@@ -15,15 +15,22 @@ library runs in a faster form.  They are deliberately slow and literal:
 * :class:`BruteForceBackend` — a selection backend that scans every live
   row for every query, with no cache.  The scan backend must agree with
   it id for id, before and after table mutation.
+* :class:`TupleSetChurnGenerator` — the churn generator that tracks live
+  tuples as a set of Python tuples, reads every deleted and modified row
+  with ``row_values`` and tests insert candidates one tuple at a time.
+  :class:`~repro.datasets.churn.ChurnGenerator` must yield the same
+  deltas and leave the same table bytes, epoch after epoch.
 """
 
-from typing import List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.drilldown import Probe, Walker, _Landing
 from repro.hidden_db.flaky import FlakyInterface
 from repro.hidden_db.interface import TopKInterface
+from repro.hidden_db.versioning import TableDelta
+from repro.utils.rng import spawn_rng
 from repro.hidden_db.query import ConjunctiveQuery
 
 
@@ -133,3 +140,143 @@ class BruteForceBackend:
         if alive is None:
             alive = np.ones(data.shape[0], dtype=bool)
         self._alive = np.asarray(alive, dtype=bool)
+
+
+
+class TupleSetChurnGenerator:
+    """The churn generator with a Python-tuple identity set, as written
+    before row keys: same random draws in the same order, literal
+    bookkeeping."""
+
+    def __init__(
+        self,
+        table,
+        rate=None,
+        insert_rate=None,
+        delete_rate=None,
+        modify_rate=None,
+        seed=None,
+        measure_jitter: float = 0.1,
+    ) -> None:
+        if rate is None and insert_rate is None and delete_rate is None and modify_rate is None:
+            rate = 0.05
+        base = (rate or 0.0) / 3.0
+        self.insert_rate = base if insert_rate is None else float(insert_rate)
+        self.delete_rate = base if delete_rate is None else float(delete_rate)
+        self.modify_rate = base if modify_rate is None else float(modify_rate)
+        self.table = table
+        self.measure_jitter = float(measure_jitter)
+        self.rng = spawn_rng(seed)
+        self._live_tuples = {
+            tuple(int(v) for v in row) for row in np.asarray(table.data)
+        }
+
+    def _live_ids(self) -> np.ndarray:
+        return np.flatnonzero(np.asarray(self.table.alive_mask)).astype(np.int64)
+
+    def _data_at(self, physical_ids: np.ndarray) -> np.ndarray:
+        rows = np.asarray(self.table._data[physical_ids], dtype=np.int64)
+        return rows.reshape(-1, len(self.table.schema))
+
+    def _sample_insert_rows(self, count: int, live_ids: np.ndarray) -> np.ndarray:
+        schema = self.table.schema
+        n = len(schema)
+        if count <= 0:
+            return np.empty((0, n), dtype=np.int64)
+        rows: List[tuple] = []
+        taken = self._live_tuples
+        live_matrix = self._data_at(live_ids) if live_ids.size else None
+        remaining = count
+        for _attempt in range(200):
+            if remaining <= 0:
+                break
+            if live_matrix is not None:
+                batch = np.column_stack([
+                    self.rng.choice(live_matrix[:, j], size=remaining, replace=True)
+                    for j in range(n)
+                ])
+            else:
+                batch = np.column_stack([
+                    self.rng.integers(0, schema[j].domain_size, size=remaining)
+                    for j in range(n)
+                ])
+            for row in batch:
+                candidate = tuple(int(v) for v in row)
+                if candidate not in taken:
+                    taken.add(candidate)
+                    rows.append(candidate)
+            remaining = count - len(rows)
+        if not rows:
+            return np.empty((0, n), dtype=np.int64)
+        return np.asarray(rows, dtype=np.int64)
+
+    def _sample_insert_measures(self, rows: int, live_ids: np.ndarray) -> Dict[str, np.ndarray]:
+        measures: Dict[str, np.ndarray] = {}
+        for name in self.table.schema.measure_names:
+            if live_ids.size:
+                donors = self.rng.choice(live_ids, size=rows, replace=True)
+                base = np.asarray(self.table._measures[name][donors], dtype=float)
+            else:
+                base = np.ones(rows)
+            jitter = 1.0 + self.rng.uniform(
+                -self.measure_jitter, self.measure_jitter, size=rows
+            )
+            measures[name] = base * jitter
+        return measures
+
+    def _sample_modifications(self, ids: np.ndarray, taken_out: set) -> Dict[int, Dict[int, int]]:
+        schema = self.table.schema
+        n = len(schema)
+        patches: Dict[int, Dict[int, int]] = {}
+        for row_id in ids:
+            old = self.table.row_values(int(row_id))
+            for _attempt in range(200):
+                attr = int(self.rng.integers(0, n))
+                domain = schema[attr].domain_size
+                if domain < 2:
+                    continue
+                value = int(self.rng.integers(0, domain))
+                if value == old[attr]:
+                    continue
+                candidate = old[:attr] + (value,) + old[attr + 1:]
+                if candidate in taken_out:
+                    continue
+                taken_out.discard(old)
+                taken_out.add(candidate)
+                patches[int(row_id)] = {attr: value}
+                break
+        return patches
+
+    def epoch(self) -> TableDelta:
+        live_ids = self._live_ids()
+        m = live_ids.size
+        if m:
+            n_insert = int(self.rng.binomial(m, min(1.0, self.insert_rate)))
+        else:
+            n_insert = 1 if self.insert_rate > 0 else 0
+        n_delete = int(self.rng.binomial(m, min(1.0, self.delete_rate)))
+        n_modify = int(self.rng.binomial(m, min(1.0, self.modify_rate)))
+
+        n_delete = min(n_delete, m)
+        delete_ids = (
+            np.sort(self.rng.choice(live_ids, size=n_delete, replace=False))
+            if n_delete else np.empty(0, dtype=np.int64)
+        )
+        survivors = np.setdiff1d(live_ids, delete_ids, assume_unique=True)
+        n_modify = min(n_modify, survivors.size)
+        modify_ids = (
+            np.sort(self.rng.choice(survivors, size=n_modify, replace=False))
+            if n_modify else np.empty(0, dtype=np.int64)
+        )
+
+        for row_id in delete_ids:
+            self._live_tuples.discard(self.table.row_values(int(row_id)))
+        modifications = self._sample_modifications(modify_ids, self._live_tuples)
+        inserts = self._sample_insert_rows(n_insert, survivors)
+        insert_measures = self._sample_insert_measures(inserts.shape[0], survivors)
+        return self.table.apply_updates(
+            inserts=inserts,
+            deletes=delete_ids,
+            modifications=modifications,
+            insert_measures=insert_measures,
+        )

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.datasets import ChurnGenerator, apply_churn, bool_iid, yahoo_auto
+from repro.datasets import (
+    ChurnGenerator,
+    apply_churn,
+    bool_iid,
+    boolean_table,
+    yahoo_auto,
+)
 from repro.hidden_db import ConjunctiveQuery, HiddenTable
 
 
@@ -110,3 +116,73 @@ class TestChurnGenerator:
             ConjunctiveQuery().extended(2, 0).extended(5, 1).extended(7, 1),
         ):
             assert table.count(query) == sibling.count(query)
+
+
+def table_bytes(table):
+    """Every byte churn can change: attribute rows, alive mask, measures."""
+    parts = [table._data.tobytes(), table._alive.tobytes()]
+    parts.extend(table._measures[name].tobytes() for name in sorted(table._measures))
+    return b"".join(parts)
+
+
+def assert_matches_tuple_set_oracle(make_table, epochs, seed, **rates):
+    """The key-set generator replays the tuple-set oracle delta for delta."""
+    from oracles import TupleSetChurnGenerator
+
+    table, oracle_table = make_table(), make_table()
+    generator = ChurnGenerator(table, seed=seed, **rates)
+    oracle = TupleSetChurnGenerator(oracle_table, seed=seed, **rates)
+    sizes = []
+    for _ in range(epochs):
+        sizes.append(table.num_tuples)
+        delta, expected = generator.epoch(), oracle.epoch()
+        assert (delta.old_num_rows, delta.new_num_rows) == (
+            expected.old_num_rows, expected.new_num_rows
+        )
+        for ids in ("inserted_ids", "deleted_ids", "modified_ids"):
+            np.testing.assert_array_equal(
+                getattr(delta, ids), getattr(expected, ids)
+            )
+        assert table_bytes(table) == table_bytes(oracle_table)
+    return sizes
+
+
+_PAIRS = [(seed, (0.02, 0.05, 0.1, 0.3)[seed % 4]) for seed in range(20)]
+
+
+class TestChurnMatchesTupleSetOracle:
+    @pytest.mark.parametrize("seed, rate", _PAIRS)
+    def test_yahoo(self, seed, rate):
+        assert_matches_tuple_set_oracle(
+            lambda: yahoo_auto(m=2_000, seed=seed), 4, seed, rate=rate
+        )
+
+    @pytest.mark.parametrize("seed, rate", _PAIRS)
+    def test_wide_boolean_table(self, seed, rate):
+        # 70 Boolean attributes: row keys take the path past 64 bits.
+        assert_matches_tuple_set_oracle(
+            lambda: boolean_table(300, [0.5] * 70, seed=seed), 4, seed,
+            rate=rate,
+        )
+
+    def test_table_churned_until_empty(self):
+        # Every epoch deletes every live tuple and inserts a few fresh ones
+        # drawn from the domain; an epoch that starts empty takes the
+        # bootstrap insert.
+        empty_starts = 0
+        for seed, rate in _PAIRS:
+            sizes = assert_matches_tuple_set_oracle(
+                lambda: bool_iid(m=30, n=10, seed=seed), 6, seed,
+                insert_rate=rate / 4, delete_rate=1.0, modify_rate=0.0,
+            )
+            empty_starts += sizes.count(0)
+        assert empty_starts > 0
+
+    @pytest.mark.parametrize("seed, rate", _PAIRS)
+    def test_modify_heavy_dense_table(self, seed, rate):
+        # 128 of the 256 possible rows are live, so about half the modified
+        # and inserted candidates collide with a live tuple and are redrawn.
+        assert_matches_tuple_set_oracle(
+            lambda: bool_iid(m=128, n=8, seed=seed), 3, seed,
+            insert_rate=0.1, delete_rate=rate / 4, modify_rate=0.5 + rate,
+        )

@@ -1,5 +1,7 @@
 """Unit tests for the synthetic Yahoo! Auto generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,24 @@ class TestGeneration:
         b = yahoo_auto(m=500, seed=3)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.measure("PRICE"), b.measure("PRICE"))
+
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            # The paper-scale table every figure and benchmark runs on.
+            ({}, "46c9cef5e26eda9a243bec396560473d0ebed35b72929188dbb2d69b5112ee47"),
+            (
+                {"m": 20_000, "seed": 12345},
+                "0f193453134a88e48c85d2f2dce5504bb6f55ce681aa2902a34b677049eb37ec",
+            ),
+        ],
+    )
+    def test_table_bytes_are_pinned(self, kwargs, digest):
+        table = yahoo_auto(**kwargs)
+        h = hashlib.sha256(np.ascontiguousarray(table.data).tobytes())
+        for name in ("MILEAGE", "PRICE", "YEAR"):
+            h.update(np.ascontiguousarray(table.measure(name)).tobytes())
+        assert h.hexdigest() == digest
 
     def test_make_distribution_is_skewed(self, table):
         make = table.data[:, 0]

@@ -152,6 +152,30 @@ class TestDatasets:
         # per-source sizes are what was asked for.
         assert fed[0].true_size == 150 and fed[1].true_size == 150
 
+    def test_overlap_past_64_attributes_stays_duplicate_free(self):
+        # 70 Boolean attributes: the row keys are Python ints.
+        fed = federated_sources([150, 150], n_attrs=70, overlap=0.4, seed=3)
+        rows_a = {row.tobytes() for row in fed[0].table._data}
+        rows_b = {row.tobytes() for row in fed[1].table._data}
+        assert len(rows_a) == len(rows_b) == 150
+        assert rows_a & rows_b
+
+    @pytest.mark.parametrize("n_attrs", [12, 70])
+    def test_shared_universe_is_the_row_sorted_pool(self, n_attrs):
+        # The pool is indexed by a permutation of its sorted distinct rows,
+        # so the row-key dedup must reproduce the 2-D unique's row order.
+        from repro.datasets.federation import _overlap_universe
+        from repro.utils.rng import spawn_rng
+
+        rows, seed = 40, 17
+        rng = spawn_rng(seed)
+        raw = (rng.random((rows * 2 + 64, n_attrs)) < 0.5).astype(np.int8)
+        unique = np.unique(raw, axis=0)
+        expected = unique[rng.permutation(unique.shape[0])[:rows]]
+        np.testing.assert_array_equal(
+            _overlap_universe(n_attrs, rows, seed), expected
+        )
+
     def test_churning_sources_advance(self):
         fed = federated_sources(
             [150, 100], churn_rates=[0.2, 0.0], seed=3

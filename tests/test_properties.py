@@ -17,6 +17,7 @@ from repro.hidden_db import (
     Schema,
     TopKInterface,
 )
+from repro.hidden_db.schema import key_shifts, row_keys
 from repro.utils.stats import RunningStats, StreamingMeanSeries
 
 # -- strategies ------------------------------------------------------------
@@ -195,3 +196,61 @@ def test_query_equality_is_order_independent(predicates):
     assert a == b
     assert hash(a) == hash(b)
     assert a.num_predicates == len(predicates)
+
+
+# -- row keys ------------------------------------------------------------------
+
+
+@st.composite
+def keyed_rows(draw, total_bits, wide_fanout=False):
+    """Rows over random fanouts whose key widths sum to *total_bits*.
+
+    Each column takes values from a few drawn candidates (always 0 and
+    ``fanout - 1`` among them), so rows share prefixes and repeat, and every
+    field reaches its top bit.  With *wide_fanout* one column has a fanout
+    above 128.
+    """
+    widths = []
+    if wide_fanout:
+        widths.append(draw(st.integers(8, 10)))
+    while sum(widths) < total_bits:
+        widths.append(draw(st.integers(1, min(12, total_bits - sum(widths)))))
+    widths = draw(st.permutations(widths))
+    fanouts = [
+        2 if w == 1 else draw(st.integers(2 ** (w - 1) + 1, 2 ** w))
+        for w in widths
+    ]
+    if wide_fanout:
+        assert max(fanouts) > 128
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 120))
+    columns = []
+    for f in fanouts:
+        candidates = np.concatenate([[0, f - 1], rng.integers(0, f, size=2)])
+        columns.append(rng.choice(candidates, size=m))
+    dtype = np.int8 if max(fanouts) <= 128 else np.int16
+    data = np.column_stack(columns).astype(draw(st.sampled_from([dtype, np.int64])))
+    return fanouts, data
+
+
+@pytest.mark.parametrize(
+    "total_bits, wide_fanout", [(63, False), (64, False), (65, False), (65, True)]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_keys_sort_and_dedup_like_rows(total_bits, wide_fanout, data):
+    fanouts, rows = data.draw(keyed_rows(total_bits, wide_fanout))
+    keys = row_keys(rows, fanouts)
+    assert (keys.dtype == np.uint64) == (total_bits <= 64)
+    shifts = key_shifts(fanouts)
+    assert keys.tolist() == [
+        sum(int(v) << shift for v, shift in zip(row, shifts)) for row in rows
+    ]
+    # Sorting keys sorts the rows lexicographically (first column first).
+    np.testing.assert_array_equal(
+        np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1])
+    )
+    # The same first occurrences, in the same order, as the 2-D unique.
+    _, by_key = np.unique(keys, return_index=True)
+    _, by_row = np.unique(rows, axis=0, return_index=True)
+    np.testing.assert_array_equal(by_key, by_row)
